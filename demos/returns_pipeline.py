@@ -14,6 +14,7 @@ deletion, then cluster the return columns by tail heaviness.
 # quotes may be blank or NA/NaN/ND/null. Two series here are heavy
 # tailed, one is light.
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,9 @@ light = np.exp(np.cumsum(rng.standard_normal(n_days) * 0.01)) * 40
 
 lines = ["date,alpha,bravo,charlie"]
 for i in range(n_days):
-    date = f"2024-{1 + i // 28:02d}-{1 + i % 28:02d}"
+    day = (date(2024, 1, 1) + timedelta(days=i)).isoformat()
     a = "" if i % 97 == 13 else repr(float(heavy_a[i]))  # sprinkle missing quotes
-    lines.append(f"{date},{a},{float(heavy_b[i])!r},{float(light[i])!r}")
+    lines.append(f"{day},{a},{float(heavy_b[i])!r},{float(light[i])!r}")
 
 path = Path(tempfile.mkdtemp()) / "prices.csv"
 path.write_text("\n".join(lines) + "\n", encoding="utf-8")

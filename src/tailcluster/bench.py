@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 import time
 import zlib
@@ -402,10 +403,16 @@ def _task(args) -> tuple[int, int, dict]:
 def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
     """Run every replication of every sweep point and aggregate.
 
-    With workers > 1 the replications run in a process pool; aggregation
-    is keyed by (point, rep) so the report is identical to a sequential
-    run.
+    With workers > 1 the replications run in a process pool of
+    min(workers, number of replications, CPU count) processes;
+    aggregation is keyed by (point, rep) so the report is identical to a
+    sequential run.
+
+    Raises:
+        ValidationError: workers is below 1.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
     points = _expand_points(config)
     tasks = []
@@ -422,8 +429,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
                  config.methods, config.include_raw_hill)
             )
     raw: dict[tuple[int, int], dict] = {}
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for pt_idx, rep_idx, results in pool.map(_task, tasks, chunksize=4):
                 raw[(pt_idx, rep_idx)] = results
     else:

@@ -100,7 +100,6 @@ def cmd_cluster(args) -> int:
     params, defaults_used = resolve_params(
         data.p, n0, k=args.k, k_star=args.k_star, beta=args.beta
     )
-    params.validate_for(data.n, data.p)
     if args.known_g is not None:
         partition, trace = cluster_known_g(data, params.with_known_g(args.known_g))
     else:

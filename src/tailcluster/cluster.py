@@ -11,17 +11,15 @@ columns remain, and the number of groups is emergent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .core import ClusterParams, DataMatrix, TailClusterError, TailPartition, ValidationError
-from .order_stats import ScaledMatrix, pooled_upper_order_stat, self_scale, upper_order_stat
+from .order_stats import self_scale
 
 __all__ = [
     "ActiveSetExhausted",
     "TraceStep",
     "IterationTrace",
-    "extract_heaviest_group",
     "cluster_known_g",
     "cluster_unknown_g",
 ]
@@ -74,59 +72,13 @@ class IterationTrace:
         return len(self.steps)
 
 
-def _extract(
-    scaled: ScaledMatrix, active: list[int], k: int, beta: float
-) -> tuple[list[int], float, dict[int, float]]:
-    mk = math.floor(beta * k)
-    if mk == 0:
-        warnings.warn(
-            "floor(beta * k) is 0; the per-column statistic degenerates to "
-            "the column maximum",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    u = pooled_upper_order_stat(scaled, active, k * len(active))
-    stats = {j: upper_order_stat(scaled.values[:, j - 1], mk) for j in active}
-    # >= keeps ties: a column exactly at the cutoff joins the heavier group
-    group = [j for j in active if stats[j] >= u]
-    return group, u, stats
-
-
-def extract_heaviest_group(
-    scaled: ScaledMatrix, active, k: int, beta: float
-) -> tuple[set[int], float]:
-    """One peeling step: threshold the active columns' high quantiles.
-
-    The cutoff u is the (k*|active|)-th largest of all pooled scaled
-    values of the active columns; the extracted group is every active
-    column whose (floor(beta*k)+1)-th largest scaled value is >= u. For
-    beta < 1 the group is provably non-empty: some column owns at least
-    k of the top k*|active| pooled values, and its statistic sits at
-    rank floor(beta*k)+1 <= k from the top.
-
-    Args:
-        scaled: self-scaled matrix.
-        active: non-empty collection of 1-based column indices.
-        k: clustering intermediate sequence, 1 <= k <= n.
-        beta: quantile fraction in (0, 1).
-
-    Returns:
-        (group, threshold) where group is a set of 1-based indices.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValidationError(f"beta must lie in (0, 1), got {beta}")
-    if not 1 <= k <= scaled.n:
-        raise ValidationError(f"k={k} out of range [1, {scaled.n}]")
-    cols = sorted(set(int(j) for j in active))
-    group, u, _ = _extract(scaled, cols, k, beta)
-    return set(group), u
-
-
 def _run(
     data: DataMatrix, params: ClusterParams, stop_after: int | None
 ) -> tuple[TailPartition, IterationTrace]:
     params.validate_for(data.n, data.p)
     scaled = self_scale(data, params.k_star)
+    # each column's (floor(beta*k)+1)-th largest scaled value
+    stat_row = scaled[math.floor(params.beta * params.k)]
     active = list(range(1, data.p + 1))
     groups: list[tuple[int, ...]] = []
     steps: list[TraceStep] = []
@@ -134,18 +86,25 @@ def _run(
         if stop_after is not None and len(groups) == stop_after - 1:
             groups.append(tuple(active))
             break
-        group, u, stats = _extract(scaled, active, params.k, params.beta)
+        # The cutoff u is the (k*|active|)-th largest pooled scaled value
+        # of the active columns. A value below row k*|active| of its own
+        # column has that many values above it already, so the top rows
+        # hold the cutoff.
+        rank = params.k * len(active)
+        pool = scaled[: min(data.n, rank), [j - 1 for j in active]].ravel()
+        pool.partition(pool.size - rank)
+        u = float(pool[pool.size - rank])
+        stats = {j: float(stat_row[j - 1]) for j in active}
+        # >= keeps ties: a column exactly at the cutoff joins the heavier
+        # group. For beta < 1 the group is never empty: some column owns
+        # at least k of the top k*|active| pooled values, and its
+        # statistic sits at rank floor(beta*k)+1 <= k from the top.
+        group = tuple(j for j in active if stats[j] >= u)
         steps.append(
-            TraceStep(
-                active=tuple(active),
-                threshold=u,
-                column_stats=stats,
-                extracted=tuple(group),
-            )
+            TraceStep(active=tuple(active), threshold=u, column_stats=stats, extracted=group)
         )
-        groups.append(tuple(group))
-        group_set = set(group)
-        active = [j for j in active if j not in group_set]
+        groups.append(group)
+        active = [j for j in active if stats[j] < u]
     if stop_after is not None and len(groups) < stop_after:
         raise ActiveSetExhausted(len(groups) + 1)
     return TailPartition(groups=tuple(groups)), IterationTrace(steps=tuple(steps))

@@ -16,7 +16,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import DataMatrix, TailPartition, ValidationError
-from .order_stats import upper_order_stat
 
 __all__ = [
     "NonpositiveOrderStat",

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from datetime import date
 
 import numpy as np
 
@@ -57,7 +58,11 @@ class PriceTable:
             raise ValidationError("a price table needs at least 2 rows")
         if len(set(self.names)) != len(self.names):
             raise ValidationError("series names must be distinct")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        try:
+            days = [date.fromisoformat(str(d)) for d in self.dates]
+        except ValueError:
+            raise ValidationError("dates must be ISO dates (YYYY-MM-DD)") from None
+        if any(b <= a for a, b in zip(days, days[1:])):
             raise ValidationError("dates must be strictly increasing")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -178,7 +183,14 @@ def read_price_csv(path) -> PriceTable:
     dates = []
     values = np.empty((len(body), len(header) - 1))
     for i, row in enumerate(body):
-        dates.append(row[0].strip())
+        day = row[0].strip()
+        try:
+            date.fromisoformat(day)
+        except ValueError:
+            raise ParseError(
+                f"row {i + 2}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
+            ) from None
+        dates.append(day)
         for j, token in enumerate(row[1:]):
             token = token.strip()
             if token.lower() in _MISSING_TOKENS:

@@ -4,11 +4,16 @@ Indexing convention used throughout: the "m-th value from the top"
 counts 1-based from the maximum, and the subscript form used by the
 clustering algorithms maps as X_{n-m:n} = the (m+1)-th largest. Ties
 are kept as duplicate values; no jittering.
+
+A scaled dataset has one representation: the n x p array returned by
+self_scale, each column sorted descending and divided by its own
+(k_star+1)-th largest value. Row m of it is the (m+1)-th largest scaled
+value of every column, so every statistic the clustering reads (the
+pooled cutoff and each column's high quantile) is a row lookup or a
+selection over its top rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +21,8 @@ from .core import DataMatrix, ValidationError
 
 __all__ = [
     "NonpositiveThreshold",
-    "ScaledMatrix",
     "upper_order_stat",
     "self_scale",
-    "pooled_upper_order_stat",
 ]
 
 
@@ -62,57 +65,23 @@ def upper_order_stat(column, m: int) -> float:
     return float(np.partition(arr, n - 1 - m)[n - 1 - m])
 
 
-@dataclass(frozen=True)
-class ScaledMatrix:
-    """A data matrix with each column divided by its own tail threshold.
+def self_scale(data: DataMatrix, k_star: int) -> np.ndarray:
+    """Sort every column descending and divide it by its own row k_star.
 
-    values[i, j] = source[i, j] / scale_denominators[j], where the
-    denominator is the (k_star+1)-th largest source value of column j.
-    """
-
-    values: np.ndarray
-    scale_denominators: np.ndarray
-    k_star: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        denoms = np.asarray(self.scale_denominators, dtype=float)
-        if values.ndim != 2:
-            raise ValidationError("values must be a 2-d array")
-        if denoms.ndim != 1 or denoms.size != values.shape[1]:
-            raise ValidationError("scale_denominators must have one entry per column")
-        if np.any(denoms <= 0.0):
-            j = int(np.argmax(denoms <= 0.0))
-            raise NonpositiveThreshold(j + 1, denoms[j])
-        if self.k_star < 1:
-            raise ValidationError(f"k_star must be >= 1, got {self.k_star}")
-        values = values.copy()
-        denoms = denoms.copy()
-        values.flags.writeable = False
-        denoms.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "scale_denominators", denoms)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-
-def self_scale(data: DataMatrix, k_star: int) -> ScaledMatrix:
-    """Divide every column by its own (k_star+1)-th largest value.
-
-    This makes tails comparable across columns whatever their units:
-    multiplying a source column by any c > 0 leaves its scaled column
-    bit-for-bit unchanged.
+    Row m of the result is the (m+1)-th largest scaled value of every
+    column, and row k_star is all ones. Dividing by a positive number
+    keeps the order, so the result equals sorting data / denominators
+    element for element. This makes tails comparable across columns
+    whatever their units: multiplying a source column by any power of
+    two leaves its scaled column bit-for-bit unchanged.
 
     Args:
         data: the source matrix.
         k_star: scaling threshold rank, 1 <= k_star <= n-1; every
             column's (k_star+1)-th largest value must be positive.
+
+    Returns:
+        An n x p float array, each column sorted descending and scaled.
 
     Raises:
         NonpositiveThreshold: some column's denominator is <= 0; the
@@ -121,33 +90,11 @@ def self_scale(data: DataMatrix, k_star: int) -> ScaledMatrix:
     n = data.n
     if not 1 <= k_star <= n - 1:
         raise ValidationError(f"k_star={k_star} out of range [1, {n - 1}]")
-    pos = n - 1 - k_star
-    denoms = np.partition(data.values, pos, axis=0)[pos]
+    scaled = np.sort(data.values, axis=0)[::-1]
+    denoms = scaled[k_star].copy()
     bad = denoms <= 0.0
     if np.any(bad):
         j = int(np.argmax(bad))
         raise NonpositiveThreshold(j + 1, denoms[j])
-    return ScaledMatrix(values=data.values / denoms, scale_denominators=denoms, k_star=k_star)
-
-
-def pooled_upper_order_stat(scaled: ScaledMatrix, active, rank_from_top: int) -> float:
-    """The rank-th largest value among all entries of the active columns.
-
-    Args:
-        scaled: the scaled matrix.
-        active: non-empty collection of 1-based column indices.
-        rank_from_top: 1-based rank in the pooled vector of n*|active|
-            values; rank 1 is the pooled maximum.
-    """
-    cols = sorted(set(int(j) for j in active))
-    if not cols:
-        raise ValidationError("active set must be non-empty")
-    if cols[0] < 1 or cols[-1] > scaled.p:
-        raise ValidationError(f"active columns must lie in [1, {scaled.p}]")
-    pool_size = scaled.n * len(cols)
-    if not 1 <= rank_from_top <= pool_size:
-        raise ValidationError(
-            f"rank_from_top={rank_from_top} out of range [1, {pool_size}]"
-        )
-    pool = scaled.values[:, [j - 1 for j in cols]].ravel()
-    return upper_order_stat(pool, rank_from_top - 1)
+    scaled /= denoms
+    return scaled

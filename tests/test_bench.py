@@ -1,10 +1,12 @@
 """Tests for the replication sweep harness and its reports."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from tailcluster import bench
 from tailcluster.bench import (
     METHODS,
     BenchReport,
@@ -120,6 +122,41 @@ class TestRunSweep:
         seq = run_sweep(cfg, workers=1)
         par = run_sweep(cfg, workers=3)
         assert strip_times(seq) == strip_times(par)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        # records each pool's size and runs its tasks in this process, so
+        # no worker process is ever started
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_pool_size_capped_by_tasks_and_cpus(self, pool_sizes):
+        run_sweep(tiny_config(reps=3), workers=1000)
+        run_sweep(tiny_config(reps=3), workers=2)
+        run_sweep(tiny_config(reps=6), workers=1000)
+        assert pool_sizes == [3, 2, 4]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            run_sweep(tiny_config(), workers=workers)
+        assert pool_sizes == []
 
     def test_shared_design_shares_rep_seeds(self):
         # a pure tuning-parameter sweep reuses the same datasets per rep

@@ -222,6 +222,11 @@ class TestBench:
         cfg = write(tmp_path, "cfg.json", "{not json")
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
 
+    def test_zero_workers_is_validation_exit(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", json.dumps(self.CONFIG))
+        assert main(["bench", "--config", cfg, "--workers", "0", "--out", "b"]) == 3
+        assert "workers" in capsys.readouterr().err
+
 
 class TestReturns:
     def test_writes_loss_returns(self, tmp_path, capsys):
@@ -234,6 +239,22 @@ class TestReturns:
         assert data.column_labels == ("aud", "eur")
         assert data.values[0, 0] == pytest.approx(-math.log(1.2 / 1.0))
         assert "2 return rows" in capsys.readouterr().out
+
+    def test_non_iso_dates_out_of_order_rejected(self, tmp_path, capsys):
+        # as strings these increase, as dates the last one is the earliest
+        inp = write(tmp_path, "p.csv", (
+            "date,a,b\n10/1/2020,1.0,2.0\n11/1/2020,1.1,2.1\n9/1/2020,1.2,2.2\n"
+        ))
+        assert main(["returns", inp, "--output", "ret.csv"]) == 2
+        assert "row 2, column 'date'" in capsys.readouterr().err
+
+    def test_non_iso_dates_in_order_rejected_as_parse_error(self, tmp_path, capsys):
+        # increasing as dates, not as strings
+        inp = write(tmp_path, "p.csv", (
+            "date,a,b\n9/30/2020,1.0,2.0\n10/1/2020,1.1,2.1\n10/2/2020,1.2,2.2\n"
+        ))
+        assert main(["returns", inp, "--output", "ret.csv"]) == 2
+        assert "row 2, column 'date'" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -13,10 +13,8 @@ from tailcluster.cluster import (
     TraceStep,
     cluster_known_g,
     cluster_unknown_g,
-    extract_heaviest_group,
 )
 from tailcluster.core import ClusterParams, DataMatrix, TailPartition, ValidationError
-from tailcluster.order_stats import self_scale
 
 # ---------------------------------------------------------------------------
 # brute-force reference of the whole peeling loop, written before the
@@ -24,6 +22,7 @@ from tailcluster.order_stats import self_scale
 
 
 def reference_cluster(values, k, k_star, beta, stop_after=None):
+    """Groups, and per step (active, threshold, column stats, extracted)."""
     n, p = values.shape
     denoms = np.array(
         [sorted(values[:, j], reverse=True)[k_star] for j in range(p)]
@@ -31,6 +30,7 @@ def reference_cluster(values, k, k_star, beta, stop_after=None):
     scaled = values / denoms
     active = list(range(1, p + 1))
     groups = []
+    steps = []
     while active:
         if stop_after is not None and len(groups) == stop_after - 1:
             groups.append(tuple(active))
@@ -40,14 +40,16 @@ def reference_cluster(values, k, k_star, beta, stop_after=None):
         )
         u = pool[k * len(active) - 1]
         mk = math.floor(beta * k)
-        grp = [
-            j
-            for j in active
-            if sorted(scaled[:, j - 1], reverse=True)[mk] >= u
-        ]
+        stats = {j: sorted(scaled[:, j - 1], reverse=True)[mk] for j in active}
+        grp = [j for j in active if stats[j] >= u]
+        steps.append((tuple(active), u, stats, tuple(grp)))
         groups.append(tuple(grp))
         active = [j for j in active if j not in grp]
-    return tuple(groups)
+    return tuple(groups), steps
+
+
+def trace_tuples(trace):
+    return [(s.active, s.threshold, s.column_stats, s.extracted) for s in trace.steps]
 
 
 def pareto_data(seed: int, gammas, n: int) -> DataMatrix:
@@ -66,46 +68,42 @@ HAND_PARAMS = ClusterParams(k=2, k_star=4, beta=0.5)
 
 
 class TestExtractHeaviestGroup:
+    """One peeling step, read off the first step of the trace."""
+
     def test_hand_example(self):
-        scaled = self_scale(DataMatrix(values=HAND_VALUES), k_star=4)
-        group, u = extract_heaviest_group(scaled, {1, 2}, k=2, beta=0.5)
+        _, trace = cluster_unknown_g(DataMatrix(values=HAND_VALUES), HAND_PARAMS)
+        step = trace.steps[0]
         # threshold is the 4th largest of the 12 pooled values
-        assert u == 1.9 / 1.2
+        assert step.threshold == 1.9 / 1.2
         # statistics (2nd largest per column) are 2.5 and 1.5
-        assert group == {1}
+        assert step.column_stats == {1: 2.5, 2: 1.5}
+        assert step.extracted == (1,)
 
     def test_single_column_always_extracted(self):
-        scaled = self_scale(DataMatrix(values=HAND_VALUES), k_star=4)
-        group, _ = extract_heaviest_group(scaled, {2}, k=2, beta=0.5)
-        assert group == {2}
+        data = DataMatrix(values=HAND_VALUES[:, 1:])
+        _, trace = cluster_unknown_g(data, HAND_PARAMS)
+        assert trace.steps[0].extracted == (1,)
 
     def test_identical_columns_extracted_together(self):
         col = np.array([1, 2, 3, 4, 5, 6.0])
-        scaled = self_scale(
-            DataMatrix(values=np.column_stack([col, col])), k_star=3
-        )
-        group, _ = extract_heaviest_group(scaled, {1, 2}, k=2, beta=0.5)
-        assert group == {1, 2}
-
-    def test_degenerate_beta_k_warns(self):
-        scaled = self_scale(DataMatrix(values=HAND_VALUES), k_star=4)
-        with pytest.warns(RuntimeWarning, match="column maximum"):
-            extract_heaviest_group(scaled, {1, 2}, k=1, beta=0.5)
+        data = DataMatrix(values=np.column_stack([col, col]))
+        _, trace = cluster_unknown_g(data, ClusterParams(k=2, k_star=3, beta=0.5))
+        assert trace.steps[0].extracted == (1, 2)
 
     def test_domain(self):
-        scaled = self_scale(DataMatrix(values=HAND_VALUES), k_star=4)
         with pytest.raises(ValidationError):
-            extract_heaviest_group(scaled, {1, 2}, k=2, beta=1.0)
+            ClusterParams(k=2, k_star=4, beta=1.0)
         with pytest.raises(ValidationError):
-            extract_heaviest_group(scaled, {1, 2}, k=7, beta=0.5)
+            cluster_unknown_g(
+                DataMatrix(values=HAND_VALUES), ClusterParams(k=7, k_star=8, beta=0.5)
+            )
 
     @given(seed=st.integers(0, 10**6), beta=st.floats(0.34, 0.99))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_group_never_empty(self, seed, beta):
         data = pareto_data(seed, [1.0, 0.7, 0.4, 0.2], n=40)
-        scaled = self_scale(data, k_star=10)
-        group, _ = extract_heaviest_group(scaled, {1, 2, 3, 4}, k=3, beta=beta)
-        assert group
+        _, trace = cluster_unknown_g(data, ClusterParams(k=3, k_star=10, beta=beta))
+        assert trace.steps[0].extracted
 
 
 class TestClusterKnownG:
@@ -132,22 +130,23 @@ class TestClusterKnownG:
         assert part.groups == ((1,), (2,), (3,))
         assert part.groups == reference_cluster(
             data.values, k=4, k_star=20, beta=0.5, stop_after=3
-        )
+        )[0]
 
     def test_matches_reference_loop(self):
         for seed in range(8):
             data = pareto_data(seed, [1.5, 0.8, 0.3], n=60)
             for g in (1, 2, 3):
                 params = ClusterParams(k=3, k_star=15, beta=0.6, known_g=g)
-                ref = reference_cluster(data.values, 3, 15, 0.6, stop_after=g)
+                ref, ref_steps = reference_cluster(data.values, 3, 15, 0.6, stop_after=g)
                 if len(ref) < g:
                     # an extraction connected the remaining columns; the
                     # requested count is unreachable
                     with pytest.raises(ActiveSetExhausted):
                         cluster_known_g(data, params)
                     continue
-                part, _ = cluster_known_g(data, params)
+                part, trace = cluster_known_g(data, params)
                 assert part.groups == ref, f"seed={seed} g={g}"
+                assert trace_tuples(trace) == ref_steps, f"seed={seed} g={g}"
 
     def test_requires_known_g(self):
         data = DataMatrix(values=HAND_VALUES)
@@ -198,11 +197,33 @@ class TestClusterUnknownG:
             data = pareto_data(seed, [1.5, 0.8, 0.3, 0.1], n=60)
             params = ClusterParams(k=3, k_star=15, beta=0.6)
             part, trace = cluster_unknown_g(data, params)
-            assert part.groups == reference_cluster(data.values, 3, 15, 0.6)
+            ref, ref_steps = reference_cluster(data.values, 3, 15, 0.6)
+            assert part.groups == ref
+            assert trace_tuples(trace) == ref_steps
             assert len(trace) <= data.p
 
 
 class TestAlgorithmProperties:
+    @given(seed=st.integers(0, 10**6), ties=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_matches_sort_oracle(self, seed, ties, data):
+        # k * |active| runs past n here, so the cutoff is taken both from
+        # the top rows and from whole columns; tails far apart let one
+        # column hold most of the top pooled values
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(1e-12, 1.0, size=(12, 4)) ** -rng.uniform(0.05, 3.0, size=4)
+        if ties:
+            values = np.ceil(values * 2.0)
+        k = data.draw(st.integers(2, 9))
+        k_star = data.draw(st.integers(k + 1, 10))
+        beta = data.draw(st.floats(0.5, 0.99))
+        part, trace = cluster_unknown_g(
+            DataMatrix(values=values), ClusterParams(k=k, k_star=k_star, beta=beta)
+        )
+        ref, ref_steps = reference_cluster(values, k, k_star, beta)
+        assert part.groups == ref
+        assert trace_tuples(trace) == ref_steps
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_partition_always_valid(self, seed):

@@ -30,6 +30,8 @@ class TestPriceTable:
         with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-01"], ["a"], [[1.0], [2.0]])
         with pytest.raises(ValidationError):
+            table(["1/1/2020", "1/2/2020"], ["a"], [[1.0], [2.0]])
+        with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-02"], ["a", "a"], [[1, 2], [3, 4]])
         with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-02"], ["a"], [[1.0, 2.0], [3.0, 4.0]])

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailcluster.core import DataMatrix, ValidationError
-from tailcluster.order_stats import (
-    NonpositiveThreshold,
-    ScaledMatrix,
-    pooled_upper_order_stat,
-    self_scale,
-    upper_order_stat,
-)
+from tailcluster.order_stats import NonpositiveThreshold, self_scale, upper_order_stat
 
 # ---------------------------------------------------------------------------
 # full-sort reference oracle, written before the selection implementation
@@ -70,15 +64,14 @@ class TestSelfScale:
         data = DataMatrix(values=np.array([[1, 2, 3, 4, 5, 100.0]]).T)
         scaled = self_scale(data, k_star=4)
         # 5th largest of the column is 2
-        assert scaled.scale_denominators.tolist() == [2.0]
-        assert scaled.values[:, 0].tolist() == [0.5, 1.0, 1.5, 2.0, 2.5, 50.0]
-        assert scaled.k_star == 4
+        assert scaled[:, 0].tolist() == [50.0, 2.5, 2.0, 1.5, 1.0, 0.5]
+        assert scaled[4].tolist() == [1.0]
 
     def test_identity_scaling(self):
         data = DataMatrix(values=np.ones((5, 2)))
         scaled = self_scale(data, k_star=2)
-        assert np.all(scaled.values == 1.0)
-        assert scaled.scale_denominators.tolist() == [1.0, 1.0]
+        assert np.all(scaled == 1.0)
+        assert scaled[2].tolist() == [1.0, 1.0]
 
     def test_k_star_range(self):
         data = DataMatrix(values=np.ones((5, 2)))
@@ -105,7 +98,7 @@ class TestSelfScale:
         scaled = self_scale(data, k_star=10)
         c = np.array([0.25, 8.0, 1024.0])
         rescaled = self_scale(DataMatrix(values=values * c), k_star=10)
-        assert np.array_equal(scaled.values, rescaled.values)
+        assert np.array_equal(scaled, rescaled)
 
     @given(
         seed=st.integers(0, 10**6),
@@ -118,82 +111,5 @@ class TestSelfScale:
         scaled = self_scale(DataMatrix(values=values), k_star=7)
         rescaled = self_scale(DataMatrix(values=values * scale), k_star=7)
         # a general scale rounds the numerator and denominator once each
-        assert np.allclose(scaled.values, rescaled.values, rtol=1e-14)
+        assert np.allclose(scaled, rescaled, rtol=1e-14)
 
-
-class TestScaledMatrix:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ScaledMatrix(values=np.ones((3, 2)), scale_denominators=[1.0], k_star=1)
-        with pytest.raises(NonpositiveThreshold):
-            ScaledMatrix(
-                values=np.ones((3, 2)), scale_denominators=[1.0, 0.0], k_star=1
-            )
-        with pytest.raises(ValidationError):
-            ScaledMatrix(
-                values=np.ones((3, 2)), scale_denominators=[1.0, 1.0], k_star=0
-            )
-
-    def test_read_only(self):
-        scaled = ScaledMatrix(
-            values=np.ones((3, 2)), scale_denominators=[1.0, 2.0], k_star=1
-        )
-        with pytest.raises(ValueError):
-            scaled.values[0, 0] = 5.0
-
-
-class TestPooledUpperOrderStat:
-    @pytest.fixture
-    def hand_scaled(self):
-        values = np.column_stack(
-            [
-                np.array([1, 2, 3, 4, 5, 100.0]),
-                np.array([1, 1.2, 1.4, 1.6, 1.8, 1.9]),
-            ]
-        )
-        return self_scale(DataMatrix(values=values), k_star=4)
-
-    def test_single_column_max(self, hand_scaled):
-        assert pooled_upper_order_stat(hand_scaled, {1}, 1) == 50.0
-
-    def test_two_column_rank_four(self, hand_scaled):
-        # pooled descending order starts 50, 2.5, 2, 1.9/1.2
-        want = sort_oracle(hand_scaled.values.ravel(), 3)
-        got = pooled_upper_order_stat(hand_scaled, {1, 2}, 4)
-        assert got == want
-        assert got == 1.9 / 1.2
-
-    def test_full_rank_is_global_min(self, hand_scaled):
-        got = pooled_upper_order_stat(hand_scaled, {1, 2}, 12)
-        assert got == float(hand_scaled.values.min())
-
-    def test_rank_one_is_max_of_column_maxima(self, hand_scaled):
-        got = pooled_upper_order_stat(hand_scaled, {1, 2}, 1)
-        assert got == float(hand_scaled.values.max())
-
-    def test_domain(self, hand_scaled):
-        with pytest.raises(ValidationError):
-            pooled_upper_order_stat(hand_scaled, set(), 1)
-        with pytest.raises(ValidationError):
-            pooled_upper_order_stat(hand_scaled, {1}, 7)  # only 6 values
-        with pytest.raises(ValidationError):
-            pooled_upper_order_stat(hand_scaled, {0, 1}, 1)
-        with pytest.raises(ValidationError):
-            pooled_upper_order_stat(hand_scaled, {1, 3}, 1)
-
-    @given(seed=st.integers(0, 10**6), data=st.data())
-    @settings(max_examples=100)
-    def test_monotone_in_rank_and_matches_oracle(self, seed, data):
-        rng = np.random.default_rng(seed)
-        values = rng.pareto(1.0, size=(12, 4)) + 0.05
-        scaled = self_scale(DataMatrix(values=values), k_star=3)
-        active = data.draw(
-            st.sets(st.integers(1, 4), min_size=1, max_size=4)
-        )
-        pool = scaled.values[:, [j - 1 for j in sorted(active)]].ravel()
-        prev = np.inf
-        for rank in range(1, pool.size + 1):
-            got = pooled_upper_order_stat(scaled, active, rank)
-            assert got == sort_oracle(pool, rank - 1)
-            assert got <= prev
-            prev = got
