@@ -34,9 +34,10 @@ for i in range(n_days):
     a = "" if i % 97 == 13 else repr(float(heavy_a[i]))  # sprinkle missing quotes
     lines.append(f"{day},{a},{float(heavy_b[i])!r},{float(light[i])!r}")
 
-path = Path(tempfile.mkdtemp()) / "prices.csv"
-path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-table = read_price_csv(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "prices.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = read_price_csv(path)
 print(f"read {len(table.dates)} dated rows for series {table.names}")
 
 # %%

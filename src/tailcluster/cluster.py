@@ -1,11 +1,11 @@
 """Iterative tail clustering by pooled quantile thresholds.
 
-Both procedures repeatedly peel off the currently heaviest-tailed group
-of columns: scale each column by its own upper order statistic, pool the
+One peeling loop repeatedly removes the heaviest-tailed group of
+columns: scale each column by its own upper order statistic, pool the
 scaled values of the still-active columns, compute a pooled threshold,
-and keep the columns whose high quantile clears it. With the number of
-groups known the loop runs a fixed count; otherwise it runs until no
-columns remain, and the number of groups is emergent.
+and keep the columns whose high quantile clears it, until no columns
+remain. A known-g result is read off that trace: the first g - 1
+extracted groups, then every remaining column as group g.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "IterationTrace",
     "cluster_known_g",
     "cluster_unknown_g",
+    "known_g_from",
 ]
 
 
@@ -72,20 +73,14 @@ class IterationTrace:
         return len(self.steps)
 
 
-def _run(
-    data: DataMatrix, params: ClusterParams, stop_after: int | None
-) -> tuple[TailPartition, IterationTrace]:
+def _run(data: DataMatrix, params: ClusterParams) -> IterationTrace:
     params.validate_for(data.n, data.p)
     scaled = self_scale(data, params.k_star)
     # each column's (floor(beta*k)+1)-th largest scaled value
     stat_row = scaled[math.floor(params.beta * params.k)]
     active = list(range(1, data.p + 1))
-    groups: list[tuple[int, ...]] = []
     steps: list[TraceStep] = []
     while active:
-        if stop_after is not None and len(groups) == stop_after - 1:
-            groups.append(tuple(active))
-            break
         # The cutoff u is the (k*|active|)-th largest pooled scaled value
         # of the active columns. A value below row k*|active| of its own
         # column has that many values above it already, so the top rows
@@ -103,19 +98,32 @@ def _run(
         steps.append(
             TraceStep(active=tuple(active), threshold=u, column_stats=stats, extracted=group)
         )
-        groups.append(group)
         active = [j for j in active if stats[j] < u]
-    if stop_after is not None and len(groups) < stop_after:
-        raise ActiveSetExhausted(len(groups) + 1)
-    return TailPartition(groups=tuple(groups)), IterationTrace(steps=tuple(steps))
+    return IterationTrace(steps=tuple(steps))
+
+
+def known_g_from(trace: IterationTrace, g: int) -> tuple[TailPartition, IterationTrace]:
+    """Read the known-g result off a full unknown-g trace.
+
+    The partition is the groups extracted by the first g - 1 steps plus
+    every column still active at step g; the trace is those g - 1 steps.
+
+    Raises:
+        ActiveSetExhausted: the trace has fewer than g steps.
+    """
+    if len(trace) < g:
+        raise ActiveSetExhausted(len(trace) + 1)
+    steps = trace.steps[: g - 1]
+    groups = [step.extracted for step in steps] + [trace.steps[g - 1].active]
+    return TailPartition(groups=tuple(groups)), IterationTrace(steps=steps)
 
 
 def cluster_known_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartition, IterationTrace]:
     """Cluster into a caller-specified number of groups.
 
-    Runs the peeling step known_g - 1 times and assigns all remaining
-    columns to the final group. With known_g = 1 no threshold step runs
-    and the single group holds every column.
+    Peels until no columns remain, as cluster_unknown_g does, and reads
+    the result off that trace with known_g_from: the first known_g - 1
+    extracted groups, then all remaining columns as the final group.
 
     Raises:
         ActiveSetExhausted: a peeling step consumed all columns before
@@ -124,7 +132,7 @@ def cluster_known_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartit
     """
     if params.known_g is None:
         raise ValidationError("params.known_g must be set for cluster_known_g")
-    return _run(data, params, stop_after=params.known_g)
+    return known_g_from(_run(data, params), params.known_g)
 
 
 def cluster_unknown_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartition, IterationTrace]:
@@ -135,4 +143,5 @@ def cluster_unknown_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPart
     """
     if params.known_g is not None:
         raise ValidationError("params.known_g must be unset for cluster_unknown_g")
-    return _run(data, params, stop_after=None)
+    trace = _run(data, params)
+    return TailPartition(groups=tuple(step.extracted for step in trace.steps)), trace

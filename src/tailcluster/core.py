@@ -16,9 +16,8 @@ reported to users.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,21 +161,6 @@ class TailPartition:
             for j in members:
                 out[j - 1] = pos
         return out
-
-    def to_json(self, labels: tuple[str, ...] | None = None) -> str:
-        """Serialize as ``{"groups": [[...], ...]}`` with indices or names."""
-        if labels is None:
-            payload = {"groups": [list(g) for g in self.groups]}
-        else:
-            if len(labels) != self.p:
-                raise DimensionMismatchError(f"{len(labels)} labels for p={self.p}")
-            payload = {"groups": [[labels[j - 1] for j in g] for g in self.groups]}
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TailPartition":
-        payload = json.loads(text)
-        return cls(tuple(tuple(g) for g in payload["groups"]))
 
 
 @dataclass(frozen=True)

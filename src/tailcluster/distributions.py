@@ -63,7 +63,7 @@ _QUANTILE_TOL = Tolerance(abs_tol=1e-10, max_iter=200)
 _TINY = 1e-300
 
 
-def _as_array(x, name: str) -> tuple[np.ndarray, bool]:
+def _as_array(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     return np.atleast_1d(arr), scalar
@@ -141,7 +141,7 @@ def reg_inc_beta(x, a: float, b: float, tol: Tolerance | None = None):
     if a <= 0 or b <= 0:
         raise ValidationError(f"a and b must be positive, got a={a}, b={b}")
     tol = tol or _DEFAULT_TOL
-    arr, scalar = _as_array(x, "x")
+    arr, scalar = _as_array(x)
     if np.any((arr < 0) | (arr > 1)) or not np.all(np.isfinite(arr)):
         raise ValidationError("x must lie in [0, 1]")
     out = np.empty_like(arr)
@@ -175,7 +175,7 @@ def student_t_cdf(x, v: float, tol: Tolerance | None = None):
     """
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
-    arr, scalar = _as_array(x, "x")
+    arr, scalar = _as_array(x)
     xx = arr * arr
     cdf = np.empty_like(arr)
     center = xx <= v
@@ -256,7 +256,7 @@ def student_t_quantile(u, v: float, tol: Tolerance | None = None):
     """
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
-    arr, scalar = _as_array(u, "u")
+    arr, scalar = _as_array(u)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     if v == 1.0:
@@ -271,7 +271,7 @@ def student_t_quantile(u, v: float, tol: Tolerance | None = None):
 
 def cauchy_cdf(x):
     """Standard Cauchy CDF, 1/2 + arctan(x)/pi."""
-    arr, scalar = _as_array(x, "x")
+    arr, scalar = _as_array(x)
     return _ret(0.5 + np.arctan(arr) / math.pi, scalar)
 
 
@@ -279,7 +279,7 @@ def frechet_quantile(u, gamma: float):
     """Quantile of the Frechet law with CDF exp(-x^(-1/gamma)) for x > 0."""
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    arr, scalar = _as_array(u, "u")
+    arr, scalar = _as_array(u)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     return _ret((-np.log(arr)) ** (-gamma), scalar)
@@ -287,7 +287,7 @@ def frechet_quantile(u, gamma: float):
 
 def abs_student_t_quantile(u, v: float, tol: Tolerance | None = None):
     """Quantile of |T| where T is Student-t with degrees of freedom v."""
-    arr, scalar = _as_array(u, "u")
+    arr, scalar = _as_array(u)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     uu = 0.5 * (1.0 + arr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tailcluster import bench
+from tailcluster import cluster as cluster_module
 from tailcluster.bench import (
     METHODS,
     BenchReport,
@@ -96,6 +97,30 @@ class TestRunReplication:
         for method in METHODS:
             assert out[method].error is not None
             assert out[method].accuracy is None
+
+    def test_one_peel_serves_both_proposed_methods(self, monkeypatch):
+        calls = []
+        real = cluster_module.self_scale
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cluster_module, "self_scale", counting)
+        spec = SimModelSpec(model="EXACT_PARETO", g=2, q=3, delta=0.5, n=300, seed=4)
+        out = run_replication(spec, default_params(spec.p, spec.n))
+        assert len(calls) == 1
+        assert all(out[m].error is None for m in METHODS)
+
+    def test_failed_peel_recorded_for_both_proposed_methods(self):
+        spec = SimModelSpec(model="EXACT_PARETO", g=2, q=3, delta=0.5, n=100, seed=4)
+        # k_star >= n: a valid ClusterParams that no 100-row matrix admits
+        out = run_replication(spec, ClusterParams(k=2, k_star=100, beta=0.8))
+        for method in ("proposed_known_g", "proposed_unknown_g"):
+            assert out[method].error == "ValidationError: k_star=100 must be <= n - 1 = 99"
+            assert out[method].partition is None
+        assert out["tail_kmeans"].error is None
+        assert out["tail_kmeans"].accuracy is not None
 
     def test_raw_hill_extra(self):
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=2, delta=0.5, n=200, seed=5)

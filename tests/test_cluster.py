@@ -14,7 +14,14 @@ from tailcluster.cluster import (
     cluster_known_g,
     cluster_unknown_g,
 )
-from tailcluster.core import ClusterParams, DataMatrix, TailPartition, ValidationError
+from tailcluster.core import (
+    ClusterParams,
+    DataMatrix,
+    TailPartition,
+    ValidationError,
+    default_params,
+)
+from tailcluster.simulate import MODELS, SimModelSpec, generate
 
 # ---------------------------------------------------------------------------
 # brute-force reference of the whole peeling loop, written before the
@@ -133,20 +140,31 @@ class TestClusterKnownG:
         )[0]
 
     def test_matches_reference_loop(self):
-        for seed in range(8):
-            data = pareto_data(seed, [1.5, 0.8, 0.3], n=60)
-            for g in (1, 2, 3):
-                params = ClusterParams(k=3, k_star=15, beta=0.6, known_g=g)
-                ref, ref_steps = reference_cluster(data.values, 3, 15, 0.6, stop_after=g)
+        cases = [
+            (pareto_data(seed, [1.5, 0.8, 0.3], n=60), ClusterParams(k=3, k_star=15, beta=0.6))
+            for seed in range(8)
+        ]
+        for model in MODELS:
+            for seed, (g_true, q, n) in enumerate([(3, 2, 60), (2, 4, 120), (4, 2, 200)]):
+                spec = SimModelSpec(model=model, g=g_true, q=q, delta=0.5, n=n, seed=seed)
+                data, _ = generate(spec)
+                cases.append((data, default_params(data.p, n)))
+        for case, (data, base) in enumerate(cases):
+            for g in range(1, data.p + 1):
+                ref, ref_steps = reference_cluster(
+                    data.values, base.k, base.k_star, base.beta, stop_after=g
+                )
+                where = f"case={case} g={g}"
                 if len(ref) < g:
                     # an extraction connected the remaining columns; the
                     # requested count is unreachable
-                    with pytest.raises(ActiveSetExhausted):
-                        cluster_known_g(data, params)
+                    with pytest.raises(ActiveSetExhausted) as exc:
+                        cluster_known_g(data, base.with_known_g(g))
+                    assert exc.value.iteration == len(ref) + 1, where
                     continue
-                part, trace = cluster_known_g(data, params)
-                assert part.groups == ref, f"seed={seed} g={g}"
-                assert trace_tuples(trace) == ref_steps, f"seed={seed} g={g}"
+                part, trace = cluster_known_g(data, base.with_known_g(g))
+                assert part.groups == ref, where
+                assert trace_tuples(trace) == ref_steps, where
 
     def test_requires_known_g(self):
         data = DataMatrix(values=HAND_VALUES)

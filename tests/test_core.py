@@ -1,6 +1,5 @@
 """Tests for the shared domain types, default formulas, and metrics."""
 
-import json
 import math
 from decimal import Decimal, getcontext
 
@@ -103,19 +102,6 @@ class TestTailPartition:
             TailPartition(groups=((1,), ()))  # empty group
         with pytest.raises(ValidationError):
             TailPartition(groups=())
-
-    def test_json_round_trip(self):
-        part = TailPartition(groups=((2, 4), (1, 3)))
-        blob = part.to_json()
-        assert json.loads(blob) == {"groups": [[2, 4], [1, 3]]}
-        assert TailPartition.from_json(blob) == part
-
-    def test_json_with_labels(self):
-        part = TailPartition(groups=((2,), (1,)))
-        blob = part.to_json(labels=("x", "y"))
-        assert json.loads(blob) == {"groups": [["y"], ["x"]]}
-        with pytest.raises(DimensionMismatchError):
-            part.to_json(labels=("x",))
 
 
 class TestClusterParams:

@@ -13,10 +13,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the scratch files a demo writes inside the test directory
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # a fresh TMPDIR shows whether the demo cleans up its scratch files
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(scratch))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(scratch.iterdir()) == []
