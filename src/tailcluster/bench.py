@@ -22,6 +22,10 @@ Method k conventions: the baseline's internal Hill step uses the same k
 as the threshold method (both receive the swept clustering k), while
 the post-clustering aggregation Hill step uses k_hill (default: the
 clustering k) uniformly for every method.
+
+Reports: the JSON form is core.SCHEMA_VERSION plus dataclasses.asdict of
+the BenchReport, and parse_report decodes it with core.from_jsonable, as
+the CLI does with sweep config files.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -42,11 +46,14 @@ import numpy as np
 from . import __version__
 from .cluster import cluster_unknown_g, known_g_from
 from .core import (
+    SCHEMA_VERSION,
     ClusterParams,
+    ParseError,
     TailClusterError,
     TailPartition,
     ValidationError,
     accuracy,
+    from_jsonable,
     mse,
     resolve_params,
 )
@@ -72,8 +79,6 @@ __all__ = [
 METHODS = ("proposed_known_g", "proposed_unknown_g", "tail_kmeans")
 
 DEFAULT_MASTER_SEED = 314159
-
-_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -256,95 +261,6 @@ class BenchReport:
     points: tuple[PointReport, ...]
     version: str = __version__
     wall_time_total: float = 0.0
-    schema_version: int = _SCHEMA_VERSION
-
-    def to_json(self) -> str:
-        def cell(c: MethodCell):
-            return {
-                "method": c.method,
-                "accuracies": list(c.accuracies),
-                "mses": list(c.mses),
-                "failures": [[i, msg] for i, msg in c.failures],
-                "mean_accuracy": c.mean_accuracy,
-                "mean_mse": c.mean_mse,
-                "wall_time": c.wall_time,
-            }
-
-        payload = {
-            "schema_version": self.schema_version,
-            "model": self.model,
-            "n": self.n,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "methods": list(self.methods),
-            "version": self.version,
-            "wall_time_total": self.wall_time_total,
-            "points": [
-                {
-                    "model": pt.model,
-                    "g": pt.g,
-                    "q": pt.q,
-                    "delta": pt.delta,
-                    "n": pt.n,
-                    "k": pt.k,
-                    "k_star": pt.k_star,
-                    "beta": pt.beta,
-                    "k_hill": pt.k_hill,
-                    "defaults_used": list(pt.defaults_used),
-                    "rep_seeds": list(pt.rep_seeds),
-                    "cells": [cell(c) for c in pt.cells],
-                }
-                for pt in self.points
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        raw = json.loads(text)
-        if raw.get("schema_version") != _SCHEMA_VERSION:
-            raise ValidationError(
-                f"unsupported report schema_version {raw.get('schema_version')!r}"
-            )
-
-        def cell(c) -> MethodCell:
-            return MethodCell(
-                method=c["method"],
-                accuracies=tuple(c["accuracies"]),
-                mses=tuple(c["mses"]),
-                failures=tuple((int(i), str(m)) for i, m in c["failures"]),
-                mean_accuracy=c["mean_accuracy"],
-                mean_mse=c["mean_mse"],
-                wall_time=c["wall_time"],
-            )
-
-        points = tuple(
-            PointReport(
-                model=pt["model"],
-                g=pt["g"],
-                q=pt["q"],
-                delta=pt["delta"],
-                n=pt["n"],
-                k=pt["k"],
-                k_star=pt["k_star"],
-                beta=pt["beta"],
-                k_hill=pt["k_hill"],
-                defaults_used=tuple(pt["defaults_used"]),
-                rep_seeds=tuple(int(s) for s in pt["rep_seeds"]),
-                cells=tuple(cell(c) for c in pt["cells"]),
-            )
-            for pt in raw["points"]
-        )
-        return cls(
-            model=raw["model"],
-            n=raw["n"],
-            reps=raw["reps"],
-            master_seed=raw["master_seed"],
-            methods=tuple(raw["methods"]),
-            points=points,
-            version=raw["version"],
-            wall_time_total=raw["wall_time_total"],
-        )
 
 
 @dataclass(frozen=True)
@@ -542,7 +458,8 @@ def emit_report(report: BenchReport, format: str) -> bytes:
     """Serialize a report: "json" nests everything, "csv" is one row per
     (point, method) in the fixed column order."""
     if format == "json":
-        return report.to_json().encode("utf-8")
+        doc = {"schema_version": SCHEMA_VERSION, **asdict(report)}
+        return json.dumps(doc, indent=2).encode("utf-8")
     if format != "csv":
         raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")
     buf = io.StringIO()
@@ -559,8 +476,19 @@ def emit_report(report: BenchReport, format: str) -> bytes:
 
 
 def parse_report(blob: bytes) -> BenchReport:
-    """Inverse of emit_report for the JSON format."""
-    return BenchReport.from_json(blob.decode("utf-8"))
+    """Inverse of emit_report for the JSON format.
+
+    Raises ParseError, naming the field's path, on malformed JSON or a
+    missing, unknown or mistyped field, and ValidationError on another
+    schema_version.
+    """
+    try:
+        doc = json.loads(blob)
+    except ValueError as exc:
+        raise ParseError(f"report: invalid JSON ({exc})") from None
+    if isinstance(doc, dict) and doc.pop("schema_version", None) != SCHEMA_VERSION:
+        raise ValidationError(f"report schema_version is not {SCHEMA_VERSION}")
+    return from_jsonable(BenchReport, doc, "report")
 
 
 def _preset_fig1(reps: int, master_seed: int) -> list[SweepConfig]:

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +34,18 @@ from .bench import (
 )
 from .cluster import cluster_known_g, cluster_unknown_g
 from .core import (
+    SCHEMA_VERSION,
     DataMatrix,
     ParseError,
     TailClusterError,
     TailPartition,
     ValidationError,
+    from_jsonable,
     resolve_params,
 )
-from .hill import estimate_group_indices, hill, hill_ci
+from .hill import _hill_per_column, estimate_group_indices, hill_ci
 from .ingest import min_positive_count, read_data_csv, read_price_csv, returns, write_data_csv
 from .simulate import MODELS, SimModelSpec, generate
-
-_SCHEMA_VERSION = 1
 
 
 def _out_path(name: str) -> Path:
@@ -64,28 +65,19 @@ def _load_matrix(path: str, prices: bool) -> DataMatrix:
 def _column_payload(data: DataMatrix, partition: TailPartition, k_hill: int, level: float):
     group_gammas, per_col = estimate_group_indices(data, partition, k_hill)
     labels = partition.labels()
-    columns = []
-    for j in range(1, data.p + 1):
-        est = hill_ci(hill(data.column(j), k_hill), level)
-        columns.append(
-            {
-                "label": data.label_of(j),
-                "group": int(labels[j - 1]),
-                "group_gamma": float(per_col[j - 1]),
-                "hill": {
-                    "gamma_hat": est.gamma_hat,
-                    "k_used": est.k_used,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "ci_method": est.ci_method,
-                },
-            }
-        )
+    columns = [
+        {
+            "label": data.label_of(j),
+            "group": int(labels[j - 1]),
+            "group_gamma": float(per_col[j - 1]),
+            "hill": asdict(hill_ci(est, level)),
+        }
+        for j, est in enumerate(_hill_per_column(data, k_hill), start=1)
+    ]
     return [float(v) for v in group_gammas], columns
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(text: str, output: str | None) -> None:
     if output:
         path = _out_path(output)
         path.write_text(text + "\n", encoding="utf-8")
@@ -108,7 +100,7 @@ def cmd_cluster(args) -> int:
     group_gammas, columns = _column_payload(data, partition, k_hill, args.ci)
     name = data.label_of
     payload = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "n": data.n,
         "p": data.p,
         "n0": n0,
@@ -135,7 +127,7 @@ def cmd_cluster(args) -> int:
             for step in trace.steps
         ],
     }
-    _emit(payload, args.output)
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
@@ -146,7 +138,7 @@ def cmd_hill(args) -> int:
     else:
         params, _ = resolve_params(data.p, min_positive_count(data))
         k = params.k
-    estimates = [hill_ci(hill(data.column(j), k), args.ci) for j in range(1, data.p + 1)]
+    estimates = [hill_ci(est, args.ci) for est in _hill_per_column(data, k)]
     if args.format == "csv":
         lines = ["label,gamma_hat,k_used,ci_low,ci_high"]
         for j, est in enumerate(estimates, start=1):
@@ -154,31 +146,18 @@ def cmd_hill(args) -> int:
                 f"{data.label_of(j)},{est.gamma_hat!r},{est.k_used},"
                 f"{est.ci_low!r},{est.ci_high!r}"
             )
-        text = "\n".join(lines)
-        if args.output:
-            path = _out_path(args.output)
-            path.write_text(text + "\n", encoding="utf-8")
-            print(f"wrote {path}")
-        else:
-            print(text)
+        _emit("\n".join(lines), args.output)
         return 0
     payload = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "k": k,
         "level": args.ci,
         "columns": [
-            {
-                "label": data.label_of(j),
-                "gamma_hat": est.gamma_hat,
-                "k_used": est.k_used,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "ci_method": est.ci_method,
-            }
+            {"label": data.label_of(j), **asdict(est)}
             for j, est in enumerate(estimates, start=1)
         ],
     }
-    _emit(payload, args.output)
+    _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
 
@@ -191,16 +170,8 @@ def cmd_simulate(args) -> int:
     json_path = _out_path(args.out + ".json")
     write_data_csv(data, csv_path)
     sidecar = {
-        "schema_version": _SCHEMA_VERSION,
-        "spec": {
-            "model": spec.model,
-            "g": spec.g,
-            "q": spec.q,
-            "delta": spec.delta,
-            "n": spec.n,
-            "seed": spec.seed,
-            "p": spec.p,
-        },
+        "schema_version": SCHEMA_VERSION,
+        "spec": {**asdict(spec), "p": spec.p},
         "truth": {
             "labels": [int(c) for c in truth.group_of],
             "gammas": [float(v) for v in truth.gammas],
@@ -219,19 +190,7 @@ def _configs_from_file(path: str) -> list[SweepConfig]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     docs = raw if isinstance(raw, list) else [raw]
-    configs = []
-    known = set(SweepConfig.__dataclass_fields__)
-    for i, doc in enumerate(docs):
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: config {i} is not an object")
-        unknown = set(doc) - known
-        if unknown:
-            raise ParseError(f"{path}: config {i} has unknown fields {sorted(unknown)}")
-        for axis in ("g", "q", "delta", "k", "k_star", "beta", "methods"):
-            if axis in doc and isinstance(doc[axis], list):
-                doc[axis] = tuple(doc[axis])
-        configs.append(SweepConfig(**doc))
-    return configs
+    return [from_jsonable(SweepConfig, doc, f"{path}: config {i}") for i, doc in enumerate(docs)]
 
 
 def cmd_bench(args) -> int:
@@ -247,7 +206,7 @@ def cmd_bench(args) -> int:
         if args.seed is not None:
             overrides["master_seed"] = args.seed
         if overrides:
-            configs = [SweepConfig(**{**c.__dict__, **overrides}) for c in configs]
+            configs = [replace(c, **overrides) for c in configs]
     reports = [run_sweep(c, workers=args.workers) for c in configs]
     report = merge_reports(reports) if len(reports) > 1 else reports[0]
     json_path = _out_path(args.out + ".json")

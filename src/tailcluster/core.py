@@ -16,7 +16,12 @@ reported to users.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import reprlib
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +40,11 @@ __all__ = [
     "accuracy",
     "mse",
     "truth_from_design",
+    "SCHEMA_VERSION",
+    "from_jsonable",
 ]
+
+SCHEMA_VERSION = 1  # of every JSON document the package writes
 
 
 class TailClusterError(Exception):
@@ -359,3 +368,59 @@ def truth_from_design(g: int, q: int, delta: float) -> GroundTruth:
     labels = np.repeat(np.arange(1, g + 1), q)
     gammas = (1.0 - delta) ** np.arange(g)
     return GroundTruth(group_of=labels, gammas=gammas)
+
+
+# resolving string annotations dominates decoding time, so do it once per class
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _decode(tp, raw, where: str):
+    if dataclasses.is_dataclass(tp):
+        return from_jsonable(tp, raw, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if raw is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, raw, where)
+    if origin is tuple:
+        if not isinstance(raw, list):
+            raise ParseError(f"{where}: expected a list, got {reprlib.repr(raw)}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(raw)
+        elif len(raw) != len(args):
+            raise ParseError(f"{where}: expected a list of {len(args)}, got {reprlib.repr(raw)}")
+        return tuple(v if type(v) is a else _decode(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, raw)))
+    if isinstance(raw, tp) and isinstance(raw, bool) == (tp is bool):
+        return raw
+    if tp is float and type(raw) is int:
+        return float(raw)
+    raise ParseError(f"{where}: expected {tp.__name__}, got {reprlib.repr(raw)}")
+
+
+def from_jsonable(cls, raw, where: str):
+    """Build dataclass cls from a parsed JSON object, field by field.
+
+    JSON lists become tuples, nested objects nested dataclasses, ints
+    fill float fields and null fills `X | None` fields. Value checks are
+    left to cls.__post_init__.
+
+    Raises:
+        ParseError: raw is not an object, or a field is unknown, missing
+            or of the wrong type; the message names the path from where.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: expected an object, got {reprlib.repr(raw)}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ParseError(f"{where}: unknown fields {unknown}")
+    hints = _field_types(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in raw:
+            kwargs[name] = _decode(hints[name], raw[name], f"{where}.{name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ParseError(f"{where}.{name}: missing required field")
+    return cls(**kwargs)

@@ -20,7 +20,7 @@ from tailcluster.bench import (
     run_replication,
     run_sweep,
 )
-from tailcluster.core import ClusterParams, ValidationError, default_params
+from tailcluster.core import ClusterParams, ParseError, ValidationError, default_params
 from tailcluster.simulate import SimModelSpec
 
 
@@ -213,6 +213,7 @@ class TestRunSweep:
         assert len(cell.failures) == 2
         assert cell.mean_accuracy is None
         assert cell.accuracies == ()
+        assert parse_report(emit_report(report, "json")) == report
 
 
 class TestReports:
@@ -266,7 +267,18 @@ class TestReports:
         blob = json.loads(emit_report(report, "json"))
         blob["schema_version"] = 999
         with pytest.raises(ValidationError):
-            BenchReport.from_json(json.dumps(blob))
+            parse_report(json.dumps(blob).encode())
+
+    def test_missing_field_named(self):
+        report = run_sweep(tiny_config(reps=1))
+        blob = json.loads(emit_report(report, "json"))
+        del blob["points"][0]["k_hill"]
+        with pytest.raises(ParseError, match=r"report\.points\[0\]\.k_hill: missing"):
+            parse_report(json.dumps(blob).encode())
+
+    def test_non_object_document(self):
+        with pytest.raises(ParseError, match="report: expected an object"):
+            parse_report(b"[1, 2]")
 
 
 class TestMergeReports:

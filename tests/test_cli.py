@@ -14,6 +14,7 @@ import pytest
 from tailcluster import cluster_unknown_g, ClusterParams, generate, SimModelSpec
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
+from tailcluster.core import SCHEMA_VERSION
 from tailcluster.ingest import read_data_csv
 
 HAND_CSV = (
@@ -146,6 +147,11 @@ class TestHill:
         assert fields[0] == "x"
         assert float(fields[1]) == pytest.approx(1.5, abs=1e-12)
 
+    def test_nonpositive_order_stat_names_column(self, tmp_path, capsys):
+        inp = write(tmp_path, "neg.csv", "pos,neg\n3,1\n2,-1\n1,-2\n")
+        assert main(["hill", inp, "--k", "1"]) == 3
+        assert "column neg" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_sidecar_records_truth(self, tmp_path):
@@ -217,6 +223,19 @@ class TestBench:
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", json.dumps(dict(self.CONFIG, bogus=1)))
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"model": "A", "n": 100, "reps": 1, "g": 3}, "config 0.g: expected a list"),
+            ({"model": "A", "n": "100", "reps": 1}, "config 0.n: expected int"),
+            ({"n": 100, "reps": 1}, "config 0.model: missing"),
+        ],
+    )
+    def test_mistyped_or_missing_field_named(self, tmp_path, capsys, doc, field):
+        cfg = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", "{not json")
@@ -314,6 +333,24 @@ class TestOutputDirEnv:
         inp = write(tmp_path, "prices.csv", PRICE_CSV)
         main(["returns", inp, "--output", str(target)])
         assert target.exists()
+
+
+class TestSchemaVersion:
+    def test_every_json_output_carries_the_schema_version(self, tmp_path):
+        inp = write(tmp_path, "hand.csv", HAND_CSV)
+        cfg = write(tmp_path, "cfg.json", json.dumps(TestBench.CONFIG))
+        runs = {
+            "c.json": ["cluster", inp, "--auto-g", "--k", "2", "--k-star", "4",
+                       "--beta", "0.5", "-o", "c.json"],
+            "h.json": ["hill", inp, "--k", "2", "-o", "h.json"],
+            "s.json": ["simulate", "--model", "A", "--g", "1", "--q", "2",
+                       "--delta", "0.5", "--n", "30", "--seed", "2", "--out", "s"],
+            "b.json": ["bench", "--config", cfg, "--reps", "1", "--out", "b"],
+        }
+        for name, argv in runs.items():
+            assert main(argv) == 0, name
+            doc = json.loads((tmp_path / name).read_text())
+            assert doc["schema_version"] == SCHEMA_VERSION, name
 
 
 class TestVersion:
