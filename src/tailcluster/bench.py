@@ -9,6 +9,10 @@ recorded, the failure is counted, and means are taken over successes.
 A replication peels its dataset once: the known-g partition is read off
 the unknown-g trace, so the peel's time is charged to whichever
 proposed method runs first (its MethodCell.wall_time), not to both.
+Likewise it runs one per-column Hill pass per distinct k: the baseline's
+k-means, every method's group aggregation and raw_hill read the same
+vector, and the pass's time is charged to the first method that reads
+it.
 
 Seeding: the data seed of a replication is derived from the master seed
 plus the data-generating design (model, g, q, delta, n) and the rep
@@ -57,7 +61,7 @@ from .core import (
     mse,
     resolve_params,
 )
-from .hill import _hill_per_column, estimate_group_indices, tail_kmeans
+from .hill import _group_means, _hill_gammas, kmeans_1d_exact
 from .simulate import MODELS, SimModelSpec, generate
 
 __all__ = [
@@ -166,10 +170,12 @@ def run_replication(
     data, truth = generate(spec)
     k_used = k_hill if k_hill is not None else params.k
     true_cols = truth.column_gammas()
-    # one peel for both proposed methods; a failed peel is not cached, so each records it
+    # one peel for both proposed methods and one Hill pass per k for every
+    # consumer; a failure is not cached, so each method records it
     peel = functools.cache(lambda: cluster_unknown_g(data, params.with_known_g(None)))
+    gammas = functools.cache(lambda k: _hill_gammas(data, k))
     out: dict[str, MethodResult] = {}
-    for method in methods:
+    for method in (*methods, *(("raw_hill",) if include_raw_hill else ())):
         t0 = time.perf_counter()
         try:
             if method == "proposed_known_g":
@@ -177,31 +183,20 @@ def run_replication(
             elif method == "proposed_unknown_g":
                 part, _ = peel()
             elif method == "tail_kmeans":
-                part = tail_kmeans(data, truth.g, params.k)
+                part = TailPartition(tuple(kmeans_1d_exact(gammas(params.k), truth.g)))
+            elif method == "raw_hill" and include_raw_hill:
+                part = None  # the per-column estimates themselves, ungrouped
             else:
                 raise ValidationError(f"unknown method {method!r}")
-            _, per_col = estimate_group_indices(data, part, k_used)
+            per_col = gammas(k_used) if part is None else _group_means(gammas(k_used), part)[1]
             out[method] = MethodResult(
                 partition=part,
-                accuracy=accuracy(truth, part),
+                accuracy=None if part is None else accuracy(truth, part),
                 mse=mse(true_cols, per_col),
                 seconds=time.perf_counter() - t0,
             )
         except TailClusterError as exc:
             out[method] = MethodResult(
-                None, None, None,
-                error=f"{type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - t0,
-            )
-    if include_raw_hill:
-        t0 = time.perf_counter()
-        try:
-            raw = np.array([e.gamma_hat for e in _hill_per_column(data, k_used)])
-            out["raw_hill"] = MethodResult(
-                None, None, mse(true_cols, raw), seconds=time.perf_counter() - t0
-            )
-        except TailClusterError as exc:
-            out["raw_hill"] = MethodResult(
                 None, None, None,
                 error=f"{type(exc).__name__}: {exc}",
                 seconds=time.perf_counter() - t0,
@@ -307,19 +302,14 @@ def _expand_points(config: SweepConfig) -> list[_Point]:
     return points
 
 
-def _task(args) -> tuple[int, int, dict]:
-    """One (point, rep) unit of work; returns plain data for aggregation."""
+def _task(args) -> tuple[int, int, dict[str, MethodResult]]:
+    """One (point, rep) unit of work: run_replication's results, keyed."""
     (pt_idx, rep_idx, seed, model, n, point, methods, include_raw_hill) = args
     spec = SimModelSpec(model=model, g=point.g, q=point.q, delta=point.delta, n=n, seed=seed)
     params = ClusterParams(k=point.k, k_star=point.k_star, beta=point.beta)
-    res = run_replication(
+    return pt_idx, rep_idx, run_replication(
         spec, params, methods=methods, k_hill=point.k_hill, include_raw_hill=include_raw_hill
     )
-    results = {
-        m: {"accuracy": r.accuracy, "mse": r.mse, "error": r.error, "seconds": r.seconds}
-        for m, r in res.items()
-    }
-    return pt_idx, rep_idx, results
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
@@ -350,7 +340,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
                 (pt_idx, rep_idx, seed, config.model, config.n, pt,
                  config.methods, config.include_raw_hill)
             )
-    raw: dict[tuple[int, int], dict] = {}
+    raw: dict[tuple[int, int], dict[str, MethodResult]] = {}
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
@@ -365,77 +355,62 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
     for pt_idx, pt in enumerate(points):
         cells = []
         for method in cell_methods:
-            accs, mses, fails, secs = [], [], [], 0.0
-            for rep_idx in range(config.reps):
-                r = raw[(pt_idx, rep_idx)][method]
-                secs += r["seconds"]
-                if r["error"] is not None:
-                    fails.append((rep_idx, r["error"]))
-                    continue
-                if r["accuracy"] is not None:
-                    accs.append(float(r["accuracy"]))
-                if r["mse"] is not None:
-                    mses.append(float(r["mse"]))
+            results = [raw[(pt_idx, rep_idx)][method] for rep_idx in range(config.reps)]
+            # a failed result carries only its error: no accuracy, no mse
+            accs = tuple(r.accuracy for r in results if r.accuracy is not None)
+            mses = tuple(r.mse for r in results if r.mse is not None)
+            fails = tuple((i, r.error) for i, r in enumerate(results) if r.error is not None)
             cells.append(
                 MethodCell(
                     method=method,
-                    accuracies=tuple(accs),
-                    mses=tuple(mses),
-                    failures=tuple(fails),
+                    accuracies=accs,
+                    mses=mses,
+                    failures=fails,
                     mean_accuracy=float(np.mean(accs)) if accs else None,
                     mean_mse=float(np.mean(mses)) if mses else None,
-                    wall_time=secs,
+                    wall_time=sum(r.seconds for r in results),
                 )
             )
         point_reports.append(
             PointReport(
                 model=config.model,
-                g=pt.g,
-                q=pt.q,
-                delta=pt.delta,
                 n=config.n,
-                k=pt.k,
-                k_star=pt.k_star,
-                beta=pt.beta,
-                k_hill=pt.k_hill,
-                defaults_used=pt.defaults_used,
                 rep_seeds=tuple(seeds_by_point[pt_idx]),
                 cells=tuple(cells),
+                **asdict(pt),
             )
         )
     return BenchReport(
-        model=config.model,
-        n=config.n,
-        reps=config.reps,
-        master_seed=config.master_seed,
-        methods=config.methods,
+        **_shared_template([config]),
         points=tuple(point_reports),
         wall_time_total=time.perf_counter() - t_start,
     )
 
 
+# the fields that every sweep merged into one report must share
+_TEMPLATE_FIELDS = ("model", "n", "reps", "master_seed", "methods")
+
+
+def _shared_template(sweeps) -> dict:
+    """The template fields shared by sweeps (configs or reports).
+
+    Raises:
+        ValidationError: there are no sweeps, or two differ in a template field.
+    """
+    if not sweeps:
+        raise ValidationError("no sweeps to merge")
+    first, *rest = sweeps
+    head = {f: getattr(first, f) for f in _TEMPLATE_FIELDS}
+    if any({f: getattr(s, f) for f in _TEMPLATE_FIELDS} != head for s in rest):
+        raise ValidationError("reports differ in template fields; cannot merge")
+    return head
+
+
 def merge_reports(reports) -> BenchReport:
     """Concatenate the points of sweeps that share every template field."""
     reports = list(reports)
-    if not reports:
-        raise ValidationError("nothing to merge")
-    head = reports[0]
-    for other in reports[1:]:
-        same = (
-            other.model == head.model
-            and other.n == head.n
-            and other.reps == head.reps
-            and other.master_seed == head.master_seed
-            and other.methods == head.methods
-        )
-        if not same:
-            raise ValidationError("reports differ in template fields; cannot merge")
     return BenchReport(
-        model=head.model,
-        n=head.n,
-        reps=head.reps,
-        master_seed=head.master_seed,
-        methods=head.methods,
+        **_shared_template(reports),
         points=tuple(pt for rep in reports for pt in rep.points),
         wall_time_total=sum(r.wall_time_total for r in reports),
     )

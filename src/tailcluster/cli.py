@@ -28,6 +28,7 @@ from .bench import (
     DEFAULT_MASTER_SEED,
     PRESETS,
     SweepConfig,
+    _shared_template,
     emit_report,
     merge_reports,
     run_sweep,
@@ -43,7 +44,7 @@ from .core import (
     from_jsonable,
     resolve_params,
 )
-from .hill import _hill_per_column, estimate_group_indices, hill_ci
+from .hill import HillEstimate, _group_means, _hill_gammas, hill_ci
 from .ingest import min_positive_count, read_data_csv, read_price_csv, returns, write_data_csv
 from .simulate import MODELS, SimModelSpec, generate
 
@@ -62,17 +63,22 @@ def _load_matrix(path: str, prices: bool) -> DataMatrix:
     return read_data_csv(path)
 
 
+def _bands(gammas: np.ndarray, k: int, level: float) -> list[HillEstimate]:
+    return [hill_ci(HillEstimate(gamma_hat=float(v), k_used=k), level) for v in gammas]
+
+
 def _column_payload(data: DataMatrix, partition: TailPartition, k_hill: int, level: float):
-    group_gammas, per_col = estimate_group_indices(data, partition, k_hill)
+    gammas = _hill_gammas(data, k_hill)
+    group_gammas, per_col = _group_means(gammas, partition)
     labels = partition.labels()
     columns = [
         {
             "label": data.label_of(j),
             "group": int(labels[j - 1]),
             "group_gamma": float(per_col[j - 1]),
-            "hill": asdict(hill_ci(est, level)),
+            "hill": asdict(est),
         }
-        for j, est in enumerate(_hill_per_column(data, k_hill), start=1)
+        for j, est in enumerate(_bands(gammas, k_hill, level), start=1)
     ]
     return [float(v) for v in group_gammas], columns
 
@@ -138,7 +144,7 @@ def cmd_hill(args) -> int:
     else:
         params, _ = resolve_params(data.p, min_positive_count(data))
         k = params.k
-    estimates = [hill_ci(est, args.ci) for est in _hill_per_column(data, k)]
+    estimates = _bands(_hill_gammas(data, k), k, args.ci)
     if args.format == "csv":
         lines = ["label,gamma_hat,k_used,ci_low,ci_high"]
         for j, est in enumerate(estimates, start=1):
@@ -207,6 +213,7 @@ def cmd_bench(args) -> int:
             overrides["master_seed"] = args.seed
         if overrides:
             configs = [replace(c, **overrides) for c in configs]
+    _shared_template(configs)  # before any replication runs
     reports = [run_sweep(c, workers=args.workers) for c in configs]
     report = merge_reports(reports) if len(reports) > 1 else reports[0]
     json_path = _out_path(args.out + ".json")

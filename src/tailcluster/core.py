@@ -395,7 +395,10 @@ def _decode(tp, raw, where: str):
     if isinstance(raw, tp) and isinstance(raw, bool) == (tp is bool):
         return raw
     if tp is float and type(raw) is int:
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ParseError(f"{where}: {reprlib.repr(raw)} is out of float range") from None
     raise ParseError(f"{where}: expected {tp.__name__}, got {reprlib.repr(raw)}")
 
 

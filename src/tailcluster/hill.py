@@ -174,14 +174,25 @@ def kmeans_1d_exact(values, g: int) -> list[tuple[int, ...]]:
     return [groups[b] for b in ranked]
 
 
-def _hill_per_column(data: DataMatrix, k: int) -> list[HillEstimate]:
-    out = []
+def _hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
+    """`hill(column, k).gamma_hat` of every column: the one per-column Hill pass."""
+    out = np.empty(data.p)
     for j in range(1, data.p + 1):
         try:
-            out.append(hill(data.column(j), k))
+            out[j - 1] = hill(data.column(j), k).gamma_hat
         except NonpositiveOrderStat as exc:
             raise NonpositiveOrderStat(exc.value, column=data.label_of(j)) from None
     return out
+
+
+def _group_means(gammas: np.ndarray, partition: TailPartition) -> tuple[np.ndarray, np.ndarray]:
+    group_gammas = np.empty(len(partition.groups))
+    per_column = np.empty(gammas.size)
+    for gi, grp in enumerate(partition.groups):
+        cols = [j - 1 for j in grp]
+        group_gammas[gi] = gammas[cols].mean()
+        per_column[cols] = group_gammas[gi]
+    return group_gammas, per_column
 
 
 def tail_kmeans(data: DataMatrix, g: int, k: int) -> TailPartition:
@@ -190,9 +201,7 @@ def tail_kmeans(data: DataMatrix, g: int, k: int) -> TailPartition:
     Groups are ordered by descending sum of member estimates, so group 1
     is the heaviest-tailed cluster.
     """
-    estimates = _hill_per_column(data, k)
-    gammas = [e.gamma_hat for e in estimates]
-    return TailPartition(groups=tuple(kmeans_1d_exact(gammas, g)))
+    return TailPartition(groups=tuple(kmeans_1d_exact(_hill_gammas(data, k), g)))
 
 
 def estimate_group_indices(
@@ -209,12 +218,4 @@ def estimate_group_indices(
         raise ValidationError(
             f"partition covers {partition.p} columns but data has {data.p}"
         )
-    estimates = _hill_per_column(data, k_hill)
-    raw = np.array([e.gamma_hat for e in estimates])
-    group_gammas = np.empty(len(partition.groups))
-    per_column = np.empty(data.p)
-    for gi, grp in enumerate(partition.groups):
-        cols = [j - 1 for j in grp]
-        group_gammas[gi] = raw[cols].mean()
-        per_column[cols] = group_gammas[gi]
-    return group_gammas, per_column
+    return _group_means(_hill_gammas(data, k_hill), partition)

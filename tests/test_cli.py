@@ -7,15 +7,17 @@ as a shell user would see them.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from tailcluster import cluster_unknown_g, ClusterParams, generate, SimModelSpec
+from tailcluster import cli
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
 from tailcluster.core import SCHEMA_VERSION
-from tailcluster.ingest import read_data_csv
+from tailcluster.ingest import read_data_csv, write_data_csv
 
 HAND_CSV = (
     "heavy,light\n"
@@ -107,6 +109,24 @@ class TestCluster:
         payload = json.loads((tmp_path / "c.json").read_text())
         part, _ = cluster_unknown_g(data, _params_from(payload))
         assert [list(grp) for grp in part.groups] == payload["group_indices"]
+
+    @pytest.mark.parametrize("mode", [["--auto-g"], ["--known-g", "2"]])
+    def test_one_hill_pass(self, tmp_path, monkeypatch, mode):
+        # tailcluster.hill is the re-exported function; the module is in sys.modules
+        hill_module = sys.modules["tailcluster.hill"]
+        calls = []
+        real = hill_module.hill
+
+        def counting(column, k):
+            calls.append(k)
+            return real(column, k)
+
+        monkeypatch.setattr(hill_module, "hill", counting)
+        data, _ = generate(SimModelSpec(model="A", g=2, q=3, delta=0.5, n=300, seed=2))
+        inp = tmp_path / "d.csv"
+        write_data_csv(data, inp)
+        assert main(["cluster", str(inp), *mode, "--k-hill", "6", "-o", "out.json"]) == 0
+        assert calls == [6] * data.p
 
     def test_prices_path(self, tmp_path):
         inp = write(tmp_path, "prices.csv", PRICE_CSV)
@@ -236,6 +256,31 @@ class TestBench:
         cfg = write(tmp_path, "cfg.json", json.dumps(doc))
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
         assert field in capsys.readouterr().err
+
+    def test_template_mismatch_rejected_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        docs = [dict(self.CONFIG, model="B"), dict(self.CONFIG, model="A")]
+        cfg = write(tmp_path, "cfg.json", json.dumps(docs))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 3
+        assert capsys.readouterr().err == (
+            "error: reports differ in template fields; cannot merge\n"
+        )
+        assert not (tmp_path / "b.json").exists()
+
+    def test_empty_config_list_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", "[]")
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 3
+        assert "no sweeps" in capsys.readouterr().err
+
+    def test_float_field_out_of_range_named(self, tmp_path, capsys):
+        # an int too large for a float is a parse error, not a crash
+        raw = json.dumps(dict(self.CONFIG, delta=[10**400]))
+        cfg = write(tmp_path, "cfg.json", raw)
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 2
+        assert "config 0.delta[0]: " in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", "{not json")

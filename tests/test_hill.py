@@ -12,12 +12,14 @@ from tailcluster.core import DataMatrix, TailPartition, ValidationError
 from tailcluster.hill import (
     HillEstimate,
     NonpositiveOrderStat,
+    _hill_gammas,
     estimate_group_indices,
     hill,
     hill_ci,
     kmeans_1d_exact,
     tail_kmeans,
 )
+from tailcluster.simulate import MODELS, SimModelSpec, generate
 
 # ---------------------------------------------------------------------------
 # oracles, written before the implementations they check
@@ -253,6 +255,17 @@ class TestKmeans1dExact:
         groups = kmeans_1d_exact(values, g)
         sums = [sum(values[j - 1] for j in grp) for grp in groups]
         assert all(a >= b - 1e-12 for a, b in zip(sums, sums[1:]))
+
+
+class TestHillGammas:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equals_single_column_hill_bit_for_bit(self, model):
+        # the single-column hill is the reference any faster pass must match
+        data, _ = generate(SimModelSpec(model=model, g=3, q=3, delta=0.5, n=300, seed=17))
+        for k in (1, 2, 9, 50, 299):
+            ref = np.array([hill(data.column(j), k).gamma_hat for j in range(1, data.p + 1)])
+            # compare bit patterns, so that -0.0 against 0.0 fails too
+            np.testing.assert_array_equal(_hill_gammas(data, k).view(np.int64), ref.view(np.int64))
 
 
 class TestTailKmeans:
