@@ -4,7 +4,8 @@ The baseline clusters per-column Hill estimates with an exact 1-D
 k-means (dynamic programming over the sorted values, which is globally
 optimal because optimal 1-D clusters are contiguous) instead of Lloyd's
 heuristic. That removes seed sensitivity from the baseline and can only
-make it look better in comparisons against the threshold method.
+make it look better in comparisons against the threshold method. The
+DP runs in O(g*p^2) vectorised time and O(p*block) memory.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import DataMatrix, TailPartition, ValidationError
+
+_BLOCK = 64  # right ends per DP cost block: temporaries are O(p * _BLOCK), not p x p
 
 __all__ = [
     "NonpositiveOrderStat",
@@ -111,54 +114,51 @@ def hill_ci(estimate: HillEstimate, level: float) -> HillEstimate:
     return replace(estimate, ci_low=lo, ci_high=hi, ci_method="asymptotic_normal")
 
 
-def _prefix_cost_tables(sorted_vals: np.ndarray):
-    s = np.concatenate(([0.0], np.cumsum(sorted_vals)))
-    ss = np.concatenate(([0.0], np.cumsum(sorted_vals * sorted_vals)))
-
-    def cost(i: int, j: int) -> float:
-        # within-cluster sum of squares of sorted_vals[i..j] inclusive
-        m = j - i + 1
-        total = s[j + 1] - s[i]
-        return max((ss[j + 1] - ss[i]) - total * total / m, 0.0)
-
-    return cost
-
-
 def kmeans_1d_exact(values, g: int) -> list[tuple[int, ...]]:
     """Globally optimal 1-D k-means by dynamic programming.
 
     Optimal 1-D clusters are contiguous in sorted order, so a DP over
     split points minimizes the within-cluster sum of squares exactly and
-    deterministically. Output groups hold 1-based indices into the input
-    vector and are ordered by descending sum of their values.
+    deterministically. Each layer is one numpy operation per block of
+    _BLOCK right ends: O(g*p^2) time, O(p*_BLOCK) memory, and ties go to
+    the first (lowest) split point. Output groups hold 1-based indices
+    into the input vector and are ordered by descending sum of values.
 
     Args:
-        values: 1-d vector of p reals.
+        values: 1-d vector of p finite reals.
         g: number of groups, 1 <= g <= p.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("values must be a non-empty 1-d vector")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValidationError(f"value {bad[0] + 1} is {float(arr[bad[0]])}; values must be finite")
     p = arr.size
     if not 1 <= g <= p:
         raise ValidationError(f"g={g} out of range [1, {p}]")
     order = np.argsort(arr, kind="stable")
     sv = arr[order]
-    cost = _prefix_cost_tables(sv)
-    # best[m][j]: minimal cost of splitting sv[0..j] into m clusters
-    best = [[0.0] * p for _ in range(g + 1)]
-    split = [[0] * p for _ in range(g + 1)]
-    for j in range(p):
-        best[1][j] = cost(0, j)
-    for m in range(2, g + 1):
-        for j in range(m - 1, p):
-            bval, barg = math.inf, m - 1
-            for i in range(m - 1, j + 1):
-                c = best[m - 1][i - 1] + cost(i, j)
-                if c < bval:
-                    bval, barg = c, i
-            best[m][j] = bval
-            split[m][j] = barg
+    s = np.concatenate(([0.0], np.cumsum(sv)))
+    ss = np.concatenate(([0.0], np.cumsum(sv * sv)))
+    # best[m, j]: least cost of sv[0..j] in m clusters, the last from split[m, j]
+    best = np.full((g + 1, p), np.inf)
+    split = np.zeros((g + 1, p), dtype=np.intp)
+    for lo in range(0, p, _BLOCK):
+        hi = min(lo + _BLOCK, p)
+        i, j = np.arange(hi)[:, None], np.arange(lo, hi)
+        # cost[i, j - lo]: within-cluster sum of squares of sv[i..j]
+        total = s[j + 1] - s[i]
+        cost = (ss[j + 1] - ss[i]) - total * total / np.maximum(j - i + 1, 1)
+        cost[cost < 0.0] = 0.0
+        # an overflowed (NaN) cost never wins, as under a strict-< scan
+        cost[(i > j) | np.isnan(cost)] = np.inf
+        best[1, lo:hi] = cost[0]
+        for m in range(2, min(g, hi) + 1):
+            cand = best[m - 1, m - 2 : hi - 1, None] + cost[m - 1 :]
+            best[m, lo:hi] = cand.min(axis=0)
+            # argmin returns the first minimum: the lowest split point wins
+            split[m, lo:hi] = np.argmin(cand, axis=0) + (m - 1)
     # backtrack into contiguous blocks of sorted positions
     blocks: list[range] = []
     j = p - 1

@@ -1,6 +1,7 @@
 """Tests for Hill estimation, exact 1-D k-means, and group aggregation."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -66,6 +67,60 @@ def set_partitions(items, g):
     for part in set_partitions(rest, g):
         for i in range(len(part)):
             yield part[:i] + [[head] + part[i]] + part[i + 1 :]
+
+
+def _prefix_cost_tables(sorted_vals: np.ndarray):
+    s = np.concatenate(([0.0], np.cumsum(sorted_vals)))
+    ss = np.concatenate(([0.0], np.cumsum(sorted_vals * sorted_vals)))
+
+    def cost(i: int, j: int) -> float:
+        # within-cluster sum of squares of sorted_vals[i..j] inclusive
+        m = j - i + 1
+        total = s[j + 1] - s[i]
+        return max((ss[j + 1] - ss[i]) - total * total / m, 0.0)
+
+    return cost
+
+
+def reference_kmeans_1d(values, g: int) -> list[tuple[int, ...]]:
+    # the pure-Python O(g*p^2) DP with a strict-< scan over split points;
+    # kmeans_1d_exact must return exactly the same list
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError("values must be a non-empty 1-d vector")
+    p = arr.size
+    if not 1 <= g <= p:
+        raise ValidationError(f"g={g} out of range [1, {p}]")
+    order = np.argsort(arr, kind="stable")
+    sv = arr[order]
+    cost = _prefix_cost_tables(sv)
+    # best[m][j]: minimal cost of splitting sv[0..j] into m clusters
+    best = [[0.0] * p for _ in range(g + 1)]
+    split = [[0] * p for _ in range(g + 1)]
+    for j in range(p):
+        best[1][j] = cost(0, j)
+    for m in range(2, g + 1):
+        for j in range(m - 1, p):
+            bval, barg = math.inf, m - 1
+            for i in range(m - 1, j + 1):
+                c = best[m - 1][i - 1] + cost(i, j)
+                if c < bval:
+                    bval, barg = c, i
+            best[m][j] = bval
+            split[m][j] = barg
+    # backtrack into contiguous blocks of sorted positions
+    blocks: list[range] = []
+    j = p - 1
+    for m in range(g, 0, -1):
+        i = split[m][j] if m > 1 else 0
+        blocks.append(range(i, j + 1))
+        j = i - 1
+    blocks.reverse()
+    groups = [tuple(sorted(int(order[t]) + 1 for t in blk)) for blk in blocks]
+    sums = [float(sv[list(blk)].sum()) for blk in blocks]
+    # heaviest-sum group first; blocks listed high-value-first on ties
+    ranked = sorted(range(len(blocks)), key=lambda b: (-sums[b], -b))
+    return [groups[b] for b in ranked]
 
 
 def pareto_quantile_column(n: int, gamma: float) -> np.ndarray:
@@ -192,6 +247,28 @@ class TestKmeans1dExact:
         with pytest.raises(ValidationError):
             kmeans_1d_exact([], g=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_position(self, bad):
+        with pytest.raises(ValidationError, match=r"value 2 is (nan|inf|-inf)"):
+            kmeans_1d_exact([1.0, bad, 3.0, bad], g=2)
+
+    def test_exact_tie_takes_first_split(self):
+        # both splits cost 0.5: the lowest split point wins
+        assert kmeans_1d_exact([0.0, 1.0, 2.0], g=2) == [(2, 3), (1,)]
+        assert kmeans_1d_exact([1.0, 1.0, 1.0], g=2) == [(2, 3), (1,)]
+
+    def test_cost_blocks_stay_small(self):
+        # one p x p float64 matrix at p=3000 would take 72 MB; the blocked
+        # DP must stay below 48 MB: its cost blocks are p x _BLOCK, never p x p
+        values = np.random.default_rng(3).normal(size=3000)
+        tracemalloc.start()
+        try:
+            kmeans_1d_exact(values, g=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
     @given(
         values=st.lists(
             st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=12
@@ -255,6 +332,41 @@ class TestKmeans1dExact:
         groups = kmeans_1d_exact(values, g)
         sums = [sum(values[j - 1] for j in grp) for grp in groups]
         assert all(a >= b - 1e-12 for a, b in zip(sums, sums[1:]))
+
+
+class TestKmeansMatchesReference:
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(-1e-3, 1e-3),
+                st.floats(-1e6, 1e6),
+                # squares overflow: NaN costs must never win a split
+                st.sampled_from([1e160, -1e200, 1e200]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_small_vectors(self, values, data):
+        g = data.draw(st.integers(1, len(values)))
+        assert kmeans_1d_exact(values, g) == reference_kmeans_1d(values, g)
+
+    @pytest.mark.parametrize("p", [255, 256, 257, 600])
+    def test_across_block_edges(self, p):
+        values = np.round(np.random.default_rng(p).standard_cauchy(p), 2)
+        for g in (1, 2, 3, 5):
+            assert kmeans_1d_exact(values, g) == reference_kmeans_1d(values, g)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_generated_hill_vectors(self, model):
+        data, _ = generate(SimModelSpec(model=model, g=3, q=6, delta=0.5, n=400, seed=5))
+        gammas = _hill_gammas(data, 20)
+        for g in range(1, min(data.p, 6) + 1):
+            assert kmeans_1d_exact(gammas, g) == reference_kmeans_1d(gammas, g)
 
 
 class TestHillGammas:
