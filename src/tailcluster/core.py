@@ -88,11 +88,6 @@ class DataMatrix:
         n, p = arr.shape
         if n < 2 or p < 1:
             raise ValidationError(f"need n >= 2 rows and p >= 1 columns, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("data matrix contains NaN or infinite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
         if self.column_labels is not None:
             labels = tuple(str(s) for s in self.column_labels)
             if len(labels) != p:
@@ -102,6 +97,15 @@ class DataMatrix:
             if len(set(labels)) != p:
                 raise ValidationError("column labels must be distinct")
             object.__setattr__(self, "column_labels", labels)
+        if not np.all(np.isfinite(arr)):
+            i, j = np.argwhere(~np.isfinite(arr))[0]
+            raise ValidationError(
+                f"data matrix entry at row {i + 1}, column {self.label_of(j + 1)!r} "
+                f"is {float(arr[i, j])!r}; entries must be finite"
+            )
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -285,14 +289,7 @@ def default_params(p: int, n0: int) -> ClusterParams:
         ValidationError: when the computed values violate the parameter
             invariants (the offending constraint is named in the message).
     """
-    if p < 2:
-        raise ValidationError(f"p must be >= 2, got {p}")
-    if n0 < 4:
-        raise ValidationError(f"n0 must be >= 4, got {n0}")
-    k = max(1, math.floor(3.0 * math.log(p) ** 1.05))
-    k_star = math.floor(n0**0.98)
-    beta = min(2.0 * (k / k_star) * p + 0.5, 0.9)
-    return ClusterParams(k=k, k_star=k_star, beta=beta)
+    return resolve_params(p, n0)[0]
 
 
 def resolve_params(
@@ -304,23 +301,28 @@ def resolve_params(
 ) -> tuple[ClusterParams, tuple[str, ...]]:
     """Fill the unset tuning parameters from the default formulas.
 
-    Explicit values win; a missing k or k_star comes from
-    default_params(p, n0), and a missing beta is recomputed as
-    min(2 * (k / k_star) * p + 0.5, 0.9) from the effective k and
-    k_star so overrides stay mutually consistent.
+    Explicit values win; a missing k or k_star comes from the formulas
+    of default_params, and a missing beta is computed from the effective
+    k and k_star so overrides stay mutually consistent.
 
     Returns:
         (params, defaults_used) where defaults_used names the fields
         that were filled by formula.
+
+    Raises:
+        ValidationError: as default_params, or for invalid overrides.
     """
     filled = []
     if k is None or k_star is None:
-        base = default_params(p, n0)
+        if p < 2:
+            raise ValidationError(f"p must be >= 2, got {p}")
+        if n0 < 4:
+            raise ValidationError(f"n0 must be >= 4, got {n0}")
     if k is None:
-        k = base.k
+        k = max(1, math.floor(3.0 * math.log(p) ** 1.05))
         filled.append("k")
     if k_star is None:
-        k_star = base.k_star
+        k_star = math.floor(n0**0.98)
         filled.append("k_star")
     if beta is None:
         beta = min(2.0 * (int(k) / int(k_star)) * p + 0.5, 0.9)

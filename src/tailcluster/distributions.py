@@ -14,14 +14,12 @@ Scalar inputs return Python floats; array inputs return arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TailClusterError, ValidationError
 
 __all__ = [
-    "Tolerance",
     "NonConvergenceError",
     "reg_inc_beta",
     "student_t_cdf",
@@ -36,29 +34,14 @@ class NonConvergenceError(TailClusterError, ArithmeticError):
     """An iterative evaluation failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy budget for iterative evaluations.
+# Continued fraction: stop when a Lentz update is within _CF_EPS of 1.
+_CF_EPS = 1e-14
+_CF_MAX_ITER = 300
 
-    abs_tol bounds the absolute error of the returned value (for
-    quantiles: in probability space). max_iter caps the iteration count
-    before NonConvergenceError is raised.
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 300
-
-    def __post_init__(self):
-        if not 0.0 < self.abs_tol <= 1e-8:
-            raise ValidationError(f"abs_tol must be in (0, 1e-8], got {self.abs_tol}")
-        if self.max_iter < 50:
-            raise ValidationError(f"max_iter must be >= 50, got {self.max_iter}")
-
-
-_DEFAULT_TOL = Tolerance()
-
-# Quantile inversion targets 1e-10 in probability space by default.
-_QUANTILE_TOL = Tolerance(abs_tol=1e-10, max_iter=200)
+# Quantile inversion: Newton until the CDF residual is within _NEWTON_TOL
+# in probability space.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 200
 
 _TINY = 1e-300
 
@@ -73,7 +56,7 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def _beta_cf(x: np.ndarray, a: float, b: float, tol: Tolerance) -> np.ndarray:
+def _beta_cf(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz iteration).
 
     Valid and fast for x < (a + 1) / (a + b + 2); callers apply the
@@ -91,8 +74,7 @@ def _beta_cf(x: np.ndarray, a: float, b: float, tol: Tolerance) -> np.ndarray:
     np.copyto(d, _TINY, where=np.abs(d) < _TINY)
     d = 1.0 / d
     h = d.copy()
-    eps = max(tol.abs_tol * 1e-2, np.finfo(float).eps)
-    for m in range(1, tol.max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -109,7 +91,7 @@ def _beta_cf(x: np.ndarray, a: float, b: float, tol: Tolerance) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        conv = np.abs(delta - 1.0) < eps
+        conv = np.abs(delta - 1.0) < _CF_EPS
         if conv.any():
             out[idx[conv]] = h[conv]
             if conv.all():
@@ -118,11 +100,11 @@ def _beta_cf(x: np.ndarray, a: float, b: float, tol: Tolerance) -> np.ndarray:
             idx, x, c, d, h = idx[keep], x[keep], c[keep], d[keep], h[keep]
     raise NonConvergenceError(
         f"incomplete beta continued fraction did not converge within "
-        f"{tol.max_iter} iterations (a={a}, b={b})"
+        f"{_CF_MAX_ITER} iterations (a={a}, b={b})"
     )
 
 
-def reg_inc_beta(x, a: float, b: float, tol: Tolerance | None = None):
+def reg_inc_beta(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b).
 
     Evaluated by continued fraction on the fast side of the crossover
@@ -133,14 +115,12 @@ def reg_inc_beta(x, a: float, b: float, tol: Tolerance | None = None):
     Args:
         x: evaluation point(s) in [0, 1].
         a, b: positive shape parameters.
-        tol: optional accuracy budget; defaults to abs_tol=1e-12.
 
     Raises:
         NonConvergenceError: continued fraction stalled (reports a, b).
     """
     if a <= 0 or b <= 0:
         raise ValidationError(f"a and b must be positive, got a={a}, b={b}")
-    tol = tol or _DEFAULT_TOL
     arr, scalar = _as_array(x)
     if np.any((arr < 0) | (arr > 1)) or not np.all(np.isfinite(arr)):
         raise ValidationError("x must lie in [0, 1]")
@@ -160,13 +140,13 @@ def reg_inc_beta(x, a: float, b: float, tol: Tolerance | None = None):
             xx = xs[sel] if use_direct else 1.0 - xs[sel]
             aa, bb = (a, b) if use_direct else (b, a)
             front = np.exp(aa * np.log(xx) + bb * np.log1p(-xx) - ln_beta)
-            piece = front * _beta_cf(xx, aa, bb, tol) / aa
+            piece = front * _beta_cf(xx, aa, bb) / aa
             vals[sel] = piece if use_direct else 1.0 - piece
         out[interior] = vals
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
-def student_t_cdf(x, v: float, tol: Tolerance | None = None):
+def student_t_cdf(x, v: float):
     """CDF of the Student-t distribution with real degrees of freedom v > 0.
 
     Evaluated through the incomplete beta function with the argument
@@ -181,12 +161,12 @@ def student_t_cdf(x, v: float, tol: Tolerance | None = None):
     center = xx <= v
     if np.any(center):
         w = xx[center] / (v + xx[center])
-        body = np.atleast_1d(np.asarray(reg_inc_beta(w, 0.5, 0.5 * v, tol)))
+        body = np.atleast_1d(np.asarray(reg_inc_beta(w, 0.5, 0.5 * v)))
         cdf[center] = 0.5 + 0.5 * np.sign(arr[center]) * body
     tail = ~center
     if np.any(tail):
         z = v / (v + xx[tail])
-        tail2 = np.atleast_1d(np.asarray(reg_inc_beta(z, 0.5 * v, 0.5, tol)))
+        tail2 = np.atleast_1d(np.asarray(reg_inc_beta(z, 0.5 * v, 0.5)))
         cdf[tail] = np.where(arr[tail] >= 0, 1.0 - 0.5 * tail2, 0.5 * tail2)
     return _ret(cdf, scalar)
 
@@ -195,7 +175,7 @@ def _student_t_pdf(x: np.ndarray, v: float, log_const: float) -> np.ndarray:
     return np.exp(log_const - 0.5 * (v + 1.0) * np.log1p(x * x / v))
 
 
-def _student_t_quantile_newton(u: np.ndarray, v: float, tol: Tolerance) -> np.ndarray:
+def _student_t_quantile_newton(u: np.ndarray, v: float) -> np.ndarray:
     """Generic quantile by bracketed Newton iteration in probability space.
 
     Works on the upper half only (callers fold by symmetry). The start
@@ -217,10 +197,10 @@ def _student_t_quantile_newton(u: np.ndarray, v: float, tol: Tolerance) -> np.nd
     idx = np.arange(uu.size)
     target = uu.copy()
     x = lo.copy()
-    for _ in range(tol.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         f = np.atleast_1d(np.asarray(student_t_cdf(x, v)))
         resid = f - target
-        done = np.abs(resid) <= tol.abs_tol
+        done = np.abs(resid) <= _NEWTON_TOL
         if done.any():
             out[idx[done]] = x[done]
             if done.all():
@@ -236,23 +216,22 @@ def _student_t_quantile_newton(u: np.ndarray, v: float, tol: Tolerance) -> np.nd
     else:
         raise NonConvergenceError(
             f"Student-t quantile iteration did not converge within "
-            f"{tol.max_iter} steps (v={v}, worst residual "
+            f"{_NEWTON_MAX_ITER} steps (v={v}, worst residual "
             f"{float(np.max(np.abs(resid))):.3e})"
         )
     return np.where(u >= 0.5, out, -out)
 
 
-def student_t_quantile(u, v: float, tol: Tolerance | None = None):
+def student_t_quantile(u, v: float):
     """Quantile of the Student-t distribution with real degrees of freedom.
 
     Exact closed forms are used for v = 1 (Cauchy) and v = 2; other
     degrees of freedom are inverted by a safeguarded Newton iteration on
-    the CDF, accurate to abs_tol (default 1e-10) in probability space.
+    the CDF, accurate to 1e-10 in probability space.
 
     Args:
         u: probability level(s) in the open interval (0, 1).
         v: positive real degrees of freedom.
-        tol: optional accuracy budget for the iterative path.
     """
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
@@ -265,7 +244,7 @@ def student_t_quantile(u, v: float, tol: Tolerance | None = None):
         alpha = 4.0 * arr * (1.0 - arr)
         return _ret((2.0 * arr - 1.0) * np.sqrt(2.0 / alpha), scalar)
     # the Newton lane tracks unconverged points by flat index
-    flat = _student_t_quantile_newton(arr.ravel(), v, tol or _QUANTILE_TOL)
+    flat = _student_t_quantile_newton(arr.ravel(), v)
     return _ret(flat.reshape(arr.shape), scalar)
 
 
@@ -285,7 +264,7 @@ def frechet_quantile(u, gamma: float):
     return _ret((-np.log(arr)) ** (-gamma), scalar)
 
 
-def abs_student_t_quantile(u, v: float, tol: Tolerance | None = None):
+def abs_student_t_quantile(u, v: float):
     """Quantile of |T| where T is Student-t with degrees of freedom v."""
     arr, scalar = _as_array(u)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
@@ -294,5 +273,5 @@ def abs_student_t_quantile(u, v: float, tol: Tolerance | None = None):
     # (1+u)/2 can round to 1.0 for u within one ulp of 1; pull back inside
     # the open interval so the in-domain contract still holds.
     np.copyto(uu, np.nextafter(1.0, 0.0), where=uu >= 1.0)
-    out = np.atleast_1d(np.asarray(student_t_quantile(uu, v, tol)))
+    out = np.atleast_1d(np.asarray(student_t_quantile(uu, v)))
     return _ret(out, scalar)

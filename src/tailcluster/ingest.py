@@ -62,8 +62,12 @@ class PriceTable:
             days = [date.fromisoformat(str(d)) for d in self.dates]
         except ValueError:
             raise ValidationError("dates must be ISO dates (YYYY-MM-DD)") from None
-        if any(b <= a for a, b in zip(days, days[1:])):
-            raise ValidationError("dates must be strictly increasing")
+        for pos, (a, b) in enumerate(zip(days, days[1:]), start=2):
+            if b <= a:
+                raise ValidationError(
+                    f"dates must be strictly increasing: date {pos} ({b}) "
+                    f"does not follow date {pos - 1} ({a})"
+                )
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "prices", arr)
@@ -182,6 +186,7 @@ def read_price_csv(path) -> PriceTable:
         raise ParseError(f"{path}: no data rows")
     dates = []
     values = np.empty((len(body), len(header) - 1))
+    missing = np.zeros(values.shape, dtype=bool)
     for i, row in enumerate(body):
         day = row[0].strip()
         try:
@@ -195,6 +200,13 @@ def read_price_csv(path) -> PriceTable:
             token = token.strip()
             if token.lower() in _MISSING_TOKENS:
                 values[i, j] = np.nan
+                missing[i, j] = True
             else:
                 values[i, j] = _parse_float(token, i + 2, header[j + 1])
+    bad = ~np.isfinite(values) & ~missing
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ParseError(
+            f"row {i + 2}, column {header[j + 1]!r}: non-finite price {body[i][j + 1].strip()!r}"
+        )
     return PriceTable(dates=tuple(dates), names=tuple(header[1:]), prices=values)

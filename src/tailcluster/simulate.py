@@ -33,7 +33,6 @@ from .distributions import abs_student_t_quantile, cauchy_cdf, frechet_quantile,
 __all__ = [
     "MODELS",
     "SimModelSpec",
-    "ScaleMatrix",
     "build_scale_matrix",
     "sample_mv_cauchy",
     "generate",
@@ -73,46 +72,9 @@ class SimModelSpec:
         return self.g * self.q
 
 
-@dataclass(frozen=True)
-class ScaleMatrix:
-    """A symmetric positive-definite scale matrix with its Cholesky factor."""
-
-    sigma: np.ndarray
-    chol: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        chol = np.asarray(self.chol, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValidationError("sigma must be square")
-        if chol.shape != sigma.shape:
-            raise ValidationError("chol must match sigma's shape")
-        if np.max(np.abs(sigma - sigma.T)) > 1e-14:
-            raise ValidationError("sigma must be symmetric to 1e-14")
-        if np.max(np.abs(np.triu(chol, 1))) != 0.0:
-            raise ValidationError("chol must be lower triangular")
-        if np.max(np.abs(chol @ chol.T - sigma)) > 1e-10:
-            raise ValidationError("chol must reconstruct sigma to 1e-10")
-        sigma = sigma.copy()
-        chol = chol.copy()
-        sigma.flags.writeable = False
-        chol.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "chol", chol)
-
-    @property
-    def p(self) -> int:
-        return self.sigma.shape[0]
-
-
-def build_scale_matrix(model: str, p: int) -> ScaleMatrix:
-    """Scale matrix of a copula model: B/B_F use 0.5^|i-j|, C uses
-    equicorrelation 0.5, D uses (-0.5)^|i-j|.
-
-    All three families are positive definite for every p, so a Cholesky
-    failure here signals an implementation bug and is allowed to escape
-    as numpy's LinAlgError.
-    """
+def build_scale_matrix(model: str, p: int) -> np.ndarray:
+    """Scale matrix sigma of a copula model: B/B_F use 0.5^|i-j|, C uses
+    equicorrelation 0.5, D uses (-0.5)^|i-j|."""
     if p < 1:
         raise ValidationError(f"p must be positive, got {p}")
     idx = np.arange(p)
@@ -125,17 +87,22 @@ def build_scale_matrix(model: str, p: int) -> ScaleMatrix:
         sigma = (-0.5) ** gap
     else:
         raise ValidationError(f"model {model!r} has no scale matrix")
-    return ScaleMatrix(sigma=sigma, chol=np.linalg.cholesky(sigma))
+    return sigma
 
 
-def sample_mv_cauchy(scale: ScaleMatrix, n: int, rng_stream) -> np.ndarray:
-    """Draw n rows of a multivariate Cauchy with the given scale matrix.
+def sample_mv_cauchy(sigma: np.ndarray, n: int, rng_stream) -> np.ndarray:
+    """Draw n rows of a multivariate Cauchy with scale matrix sigma.
 
-    Each row is Z / |W| with Z = L * (iid standard normals) and an
-    independent scalar W ~ N(0, 1): a multivariate t with one degree of
-    freedom. Draw order is pinned for reproducibility and stubbing: the
-    n x p normal block for Z first, then the n-vector for W. Every
-    marginal is standard Cauchy (diagonal of sigma is 1).
+    Each row is Z / |W| with Z = L * (iid standard normals), L the
+    Cholesky factor of sigma, and an independent scalar W ~ N(0, 1): a
+    multivariate t with one degree of freedom. Draw order is pinned for
+    reproducibility and stubbing: the n x p normal block for Z first,
+    then the n-vector for W. Every marginal is standard Cauchy (diagonal
+    of sigma is 1).
+
+    The scale families of build_scale_matrix are positive definite for
+    every p, so a Cholesky failure signals an implementation bug and is
+    allowed to escape as numpy's LinAlgError.
 
     Args:
         rng_stream: anything exposing standard_normal(size), e.g. a
@@ -143,17 +110,14 @@ def sample_mv_cauchy(scale: ScaleMatrix, n: int, rng_stream) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
-    z = np.asarray(rng_stream.standard_normal((n, scale.p)), dtype=float)
+    chol = np.linalg.cholesky(sigma)
+    z = np.asarray(rng_stream.standard_normal((n, sigma.shape[0])), dtype=float)
     w = np.asarray(rng_stream.standard_normal(n), dtype=float)
-    return (z @ scale.chol.T) / np.abs(w)[:, None]
+    return (z @ chol.T) / np.abs(w)[:, None]
 
 
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
-
-
-def _clamp_unit(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, _U_EPS, 1.0 - _U_EPS)
 
 
 def generate(spec: SimModelSpec) -> tuple[DataMatrix, GroundTruth]:
@@ -169,27 +133,22 @@ def generate(spec: SimModelSpec) -> tuple[DataMatrix, GroundTruth]:
     n, p = spec.n, spec.p
 
     if spec.model in ("A", "A_F", "EXACT_PARETO"):
-        u = _clamp_unit(rng.uniform(size=(n, p)))
-        x = np.empty((n, p))
-        for gamma in np.unique(col_gammas):
-            cols = col_gammas == gamma
-            if spec.model == "A":
-                x[:, cols] = abs_student_t_quantile(u[:, cols], 1.0 / gamma)
-            elif spec.model == "A_F":
-                x[:, cols] = frechet_quantile(u[:, cols], gamma)
-            else:
-                x[:, cols] = u[:, cols] ** (-gamma)
+        u = rng.uniform(size=(n, p))
     else:
-        scale = build_scale_matrix(spec.model, p)
-        base = sample_mv_cauchy(scale, n, rng)
-        u = _clamp_unit(np.asarray(cauchy_cdf(base)))
-        x = np.empty((n, p))
-        for gamma in np.unique(col_gammas):
-            cols = col_gammas == gamma
-            if spec.model == "B_F":
-                x[:, cols] = frechet_quantile(u[:, cols], gamma)
-            else:
-                x[:, cols] = np.abs(student_t_quantile(u[:, cols], 1.0 / gamma))
+        base = sample_mv_cauchy(build_scale_matrix(spec.model, p), n, rng)
+        u = np.asarray(cauchy_cdf(base))
+    u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
+    x = np.empty((n, p))
+    for gamma in np.unique(col_gammas):
+        cols = col_gammas == gamma
+        if spec.model == "A":
+            x[:, cols] = abs_student_t_quantile(u[:, cols], 1.0 / gamma)
+        elif spec.model in ("A_F", "B_F"):
+            x[:, cols] = frechet_quantile(u[:, cols], gamma)
+        elif spec.model == "EXACT_PARETO":
+            x[:, cols] = u[:, cols] ** (-gamma)
+        else:
+            x[:, cols] = np.abs(student_t_quantile(u[:, cols], 1.0 / gamma))
 
     labels = tuple(f"V{j}" for j in range(1, p + 1))
     return DataMatrix(values=x, column_labels=labels), truth

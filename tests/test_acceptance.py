@@ -343,10 +343,9 @@ def test_criterion_10_generator_fidelity():
 
     chol_err = 0.0
     for family in ("B", "C", "D"):
-        scale = build_scale_matrix(family, 150)
-        chol_err = max(
-            chol_err, float(np.max(np.abs(scale.chol @ scale.chol.T - scale.sigma)))
-        )
+        sigma = build_scale_matrix(family, 150)
+        chol = np.linalg.cholesky(sigma)
+        chol_err = max(chol_err, float(np.max(np.abs(chol @ chol.T - sigma))))
     ok = chol_err <= 1e-10
     report(
         10,

@@ -320,6 +320,15 @@ class TestReturns:
         assert main(["returns", inp, "--output", "ret.csv"]) == 2
         assert "row 2, column 'date'" in capsys.readouterr().err
 
+    def test_infinite_price_is_parse_exit(self, tmp_path, capsys):
+        inp = write(tmp_path, "p.csv", (
+            "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.1,infinity\n"
+            "2020-01-03,1.2,2.2\n2020-01-04,1.3,2.3\n"
+        ))
+        assert main(["returns", inp, "--output", "ret.csv"]) == 2
+        assert "row 3, column 'b': non-finite price 'infinity'" in capsys.readouterr().err
+        assert not (tmp_path / "ret.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_parse_exit(self):

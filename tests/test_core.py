@@ -69,6 +69,16 @@ class TestDataMatrix:
         with pytest.raises(ValidationError):
             DataMatrix(values=[1.0, 2.0])  # 1-d
 
+    def test_non_finite_names_first_bad_cell(self):
+        values = [[1.0, 2.0], [3.0, float("inf")], [float("nan"), 6.0]]
+        with pytest.raises(ValidationError) as exc:
+            DataMatrix(values=values, column_labels=("a", "b"))
+        assert str(exc.value) == (
+            "data matrix entry at row 2, column 'b' is inf; entries must be finite"
+        )
+        with pytest.raises(ValidationError, match=r"row 3, column 'V1' is nan"):
+            DataMatrix(values=[[1.0, 2.0], [3.0, 4.0], [float("nan"), 6.0]])
+
     def test_values_read_only_and_copied(self):
         src = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = DataMatrix(values=src)
@@ -201,6 +211,17 @@ class TestResolveParams:
         assert params.k == 4
         assert params.beta == pytest.approx(beta_oracle(4, 1717, 21), abs=1e-15)
         assert used == ("k_star", "beta")
+
+    def test_override_checked_not_unused_default(self):
+        # at p=21, n0=4 the formulas give k=9, k_star=3, which is invalid;
+        # an explicit k_star replaces the formula value before any check
+        params, used = resolve_params(21, 4, k_star=100)
+        assert (params.k, params.k_star) == (9, 100)
+        assert used == ("k", "beta")
+        with pytest.raises(ValidationError, match="got k=9, k_star=5"):
+            resolve_params(21, 4, k_star=5)
+        with pytest.raises(ValidationError, match="n0 must be >= 4, got 3"):
+            resolve_params(21, 3, k=2)
 
 
 class TestAccuracy:

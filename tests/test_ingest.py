@@ -36,6 +36,18 @@ class TestPriceTable:
         with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-02"], ["a"], [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_date_order_error_names_dates_and_position(self):
+        dates = ["2020-01-01", "2020-01-02", "2020-01-02", "2020-01-03"]
+        with pytest.raises(ValidationError) as exc:
+            table(dates, ["a"], [[1.0], [2.0], [3.0], [4.0]])
+        assert str(exc.value) == (
+            "dates must be strictly increasing: date 3 (2020-01-02) "
+            "does not follow date 2 (2020-01-02)"
+        )
+        backwards = r"date 2 \(2019-12-31\) does not follow date 1 \(2020-01-01\)"
+        with pytest.raises(ValidationError, match=backwards):
+            table(["2020-01-01", "2019-12-31"], ["a"], [[1.0], [2.0]])
+
     def test_read_only(self):
         t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [2.0]])
         with pytest.raises(ValueError):
@@ -198,3 +210,15 @@ class TestPriceCsv:
         )
         with pytest.raises(ParseError, match=r"row 3, column 'aud'"):
             read_price_csv(path)
+
+    @pytest.mark.parametrize("token", ["inf", "Infinity", "-inf", "-nan"])
+    def test_non_finite_price_located(self, tmp_path, token):
+        path = tmp_path / "inf.csv"
+        path.write_text(
+            "date,aud,eur\n2020-01-01,1.0,2.0\n2020-01-02,NA,2.1\n"
+            f"2020-01-03,1.2,{token}\n2020-01-04,1.3,inf\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as exc:
+            read_price_csv(path)
+        assert str(exc.value) == f"row 4, column 'eur': non-finite price {token!r}"
