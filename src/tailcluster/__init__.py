@@ -16,7 +16,8 @@ from .core import (
     resolve_params,
     truth_from_design,
 )
-from .hill import HillEstimate, estimate_group_indices, hill, hill_ci, kmeans_1d_exact, tail_kmeans
+from .hill import (HillEstimate, estimate_group_indices, group_means, hill, hill_ci, hill_gammas,
+                   kmeans_1d_exact, tail_kmeans)
 from .simulate import MODELS, SimModelSpec, generate
 
 __version__ = "0.1.0"

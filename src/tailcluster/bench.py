@@ -61,7 +61,7 @@ from .core import (
     mse,
     resolve_params,
 )
-from .hill import _group_means, _hill_gammas, kmeans_1d_exact
+from .hill import group_means, hill_gammas, kmeans_1d_exact
 from .simulate import MODELS, SimModelSpec, generate
 
 __all__ = [
@@ -173,7 +173,7 @@ def run_replication(
     # one peel for both proposed methods and one Hill pass per k for every
     # consumer; a failure is not cached, so each method records it
     peel = functools.cache(lambda: cluster_unknown_g(data, params.with_known_g(None)))
-    gammas = functools.cache(lambda k: _hill_gammas(data, k))
+    gammas = functools.cache(lambda k: hill_gammas(data, k))
     out: dict[str, MethodResult] = {}
     for method in (*methods, *(("raw_hill",) if include_raw_hill else ())):
         t0 = time.perf_counter()
@@ -188,7 +188,7 @@ def run_replication(
                 part = None  # the per-column estimates themselves, ungrouped
             else:
                 raise ValidationError(f"unknown method {method!r}")
-            per_col = gammas(k_used) if part is None else _group_means(gammas(k_used), part)[1]
+            per_col = gammas(k_used) if part is None else group_means(gammas(k_used), part)[1]
             out[method] = MethodResult(
                 partition=part,
                 accuracy=None if part is None else accuracy(truth, part),

@@ -44,7 +44,7 @@ from .core import (
     from_jsonable,
     resolve_params,
 )
-from .hill import HillEstimate, _group_means, _hill_gammas, hill_ci
+from .hill import HillEstimate, group_means, hill_gammas, hill_ci
 from .ingest import min_positive_count, read_data_csv, read_price_csv, returns, write_data_csv
 from .simulate import MODELS, SimModelSpec, generate
 
@@ -68,8 +68,8 @@ def _bands(gammas: np.ndarray, k: int, level: float) -> list[HillEstimate]:
 
 
 def _column_payload(data: DataMatrix, partition: TailPartition, k_hill: int, level: float):
-    gammas = _hill_gammas(data, k_hill)
-    group_gammas, per_col = _group_means(gammas, partition)
+    gammas = hill_gammas(data, k_hill)
+    group_gammas, per_col = group_means(gammas, partition)
     labels = partition.labels()
     columns = [
         {
@@ -144,7 +144,7 @@ def cmd_hill(args) -> int:
     else:
         params, _ = resolve_params(data.p, min_positive_count(data))
         k = params.k
-    estimates = _bands(_hill_gammas(data, k), k, args.ci)
+    estimates = _bands(hill_gammas(data, k), k, args.ci)
     if args.format == "csv":
         lines = ["label,gamma_hat,k_used,ci_low,ci_high"]
         for j, est in enumerate(estimates, start=1):

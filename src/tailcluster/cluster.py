@@ -58,17 +58,6 @@ class IterationTrace:
 
     steps: tuple[TraceStep, ...]
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        prev = None
-        for step in self.steps:
-            if seen.intersection(step.extracted):
-                raise ValidationError("trace steps extract overlapping groups")
-            seen.update(step.extracted)
-            if prev is not None and not set(step.active) < set(prev.active):
-                raise ValidationError("active sets must strictly decrease")
-            prev = step
-
     def __len__(self) -> int:
         return len(self.steps)
 

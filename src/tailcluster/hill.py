@@ -25,6 +25,8 @@ __all__ = [
     "HillEstimate",
     "hill",
     "hill_ci",
+    "hill_gammas",
+    "group_means",
     "kmeans_1d_exact",
     "tail_kmeans",
     "estimate_group_indices",
@@ -68,6 +70,19 @@ class HillEstimate:
             )
 
 
+def _gamma(arr: np.ndarray, k: int, column=None) -> float:
+    """The Hill kernel on a 1-d float vector whose k is already checked."""
+    n = arr.size
+    part = np.partition(arr, n - 1 - k)
+    base = part[n - 1 - k]
+    if base <= 0.0:
+        raise NonpositiveOrderStat(base, column)
+    top = part[n - k:]
+    gamma = float(np.mean(np.log(top)) - math.log(base))
+    # exact-tie columns can produce -0.0 or tiny negative rounding noise
+    return max(gamma, 0.0)
+
+
 def hill(column, k: int) -> HillEstimate:
     """Hill estimator from the top k+1 order statistics of a vector.
 
@@ -85,17 +100,9 @@ def hill(column, k: int) -> HillEstimate:
     arr = np.asarray(column, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError("column must be a 1-d vector of length >= 2")
-    n = arr.size
-    if not 1 <= k <= n - 1:
-        raise ValidationError(f"k={k} out of range [1, {n - 1}]")
-    part = np.partition(arr, n - 1 - k)
-    base = part[n - 1 - k]
-    if base <= 0.0:
-        raise NonpositiveOrderStat(base)
-    top = part[n - k:]
-    gamma = float(np.mean(np.log(top)) - math.log(base))
-    # exact-tie columns can produce -0.0 or tiny negative rounding noise
-    return HillEstimate(gamma_hat=max(gamma, 0.0), k_used=k)
+    if not 1 <= k <= arr.size - 1:
+        raise ValidationError(f"k={k} out of range [1, {arr.size - 1}]")
+    return HillEstimate(gamma_hat=_gamma(arr, k), k_used=k)
 
 
 def hill_ci(estimate: HillEstimate, level: float) -> HillEstimate:
@@ -174,18 +181,28 @@ def kmeans_1d_exact(values, g: int) -> list[tuple[int, ...]]:
     return [groups[b] for b in ranked]
 
 
-def _hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
-    """`hill(column, k).gamma_hat` of every column: the one per-column Hill pass."""
-    out = np.empty(data.p)
-    for j in range(1, data.p + 1):
-        try:
-            out[j - 1] = hill(data.column(j), k).gamma_hat
-        except NonpositiveOrderStat as exc:
-            raise NonpositiveOrderStat(exc.value, column=data.label_of(j)) from None
-    return out
+def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
+    """`hill(column, k).gamma_hat` of every column: the one per-column Hill pass.
+
+    Raises:
+        NonpositiveOrderStat: some column's (k+1)-th largest value is
+            <= 0; the error names the first such column by label.
+    """
+    if not 1 <= k <= data.n - 1:
+        raise ValidationError(f"k={k} out of range [1, {data.n - 1}]")
+    return np.array(
+        [_gamma(data.values[:, j], k, data.label_of(j + 1)) for j in range(data.p)], dtype=float
+    )
 
 
-def _group_means(gammas: np.ndarray, partition: TailPartition) -> tuple[np.ndarray, np.ndarray]:
+def group_means(gammas: np.ndarray, partition: TailPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Average per-column estimates within groups and broadcast back to columns.
+
+    Returns:
+        (group_gammas, per_column_gammas): group_gammas[l] is the simple
+        average of the member columns' estimates; every column of group
+        l receives that average in per_column_gammas.
+    """
     group_gammas = np.empty(len(partition.groups))
     per_column = np.empty(gammas.size)
     for gi, grp in enumerate(partition.groups):
@@ -201,21 +218,15 @@ def tail_kmeans(data: DataMatrix, g: int, k: int) -> TailPartition:
     Groups are ordered by descending sum of member estimates, so group 1
     is the heaviest-tailed cluster.
     """
-    return TailPartition(groups=tuple(kmeans_1d_exact(_hill_gammas(data, k), g)))
+    return TailPartition(groups=tuple(kmeans_1d_exact(hill_gammas(data, k), g)))
 
 
 def estimate_group_indices(
     data: DataMatrix, partition: TailPartition, k_hill: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average Hill estimates within groups and broadcast back to columns.
-
-    Returns:
-        (group_gammas, per_column_gammas): group_gammas[l] is the simple
-        average of the member columns' Hill estimates; every column of
-        group l receives that average in per_column_gammas.
-    """
+    """group_means of the data's Hill pass at k_hill."""
     if partition.p != data.p:
         raise ValidationError(
             f"partition covers {partition.p} columns but data has {data.p}"
         )
-    return _group_means(_hill_gammas(data, k_hill), partition)
+    return group_means(hill_gammas(data, k_hill), partition)

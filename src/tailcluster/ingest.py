@@ -98,9 +98,9 @@ def loss_return_values(prices: PriceTable) -> tuple[np.ndarray, tuple[str, ...]]
         )
     if np.any(kept <= 0.0):
         i, j = np.argwhere(kept <= 0.0)[0]
-        date = tuple(np.asarray(prices.dates)[complete])[i]
+        day = tuple(np.asarray(prices.dates)[complete])[i]
         raise ValidationError(
-            f"price for {prices.names[j]} on {date} is {kept[i, j]!r}; "
+            f"price for {prices.names[j]} on {day} is {float(kept[i, j])!r}; "
             "prices must be strictly positive"
         )
     return -np.diff(np.log(kept), axis=0), prices.names

@@ -21,7 +21,6 @@ from .core import DataMatrix, ValidationError
 
 __all__ = [
     "NonpositiveThreshold",
-    "upper_order_stat",
     "self_scale",
 ]
 
@@ -41,28 +40,6 @@ class NonpositiveThreshold(ValidationError):
             "it must be strictly positive (choose a smaller k_star or drop "
             "the column)"
         )
-
-
-def upper_order_stat(column, m: int) -> float:
-    """The (m+1)-th largest element of a vector.
-
-    Uses partial selection (numpy introselect) rather than a full sort;
-    the result is deterministic and equal to what sorting descending and
-    taking position m (0-based) would give, duplicates retained.
-
-    Args:
-        column: 1-d array of real values, length n >= 1.
-        m: rank from the top, 0 <= m <= n-1; m=0 selects the maximum.
-    """
-    arr = np.asarray(column, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("column must be a non-empty 1-d vector")
-    n = arr.size
-    if not 0 <= m <= n - 1:
-        raise ValidationError(f"rank m={m} out of range [0, {n - 1}]")
-    if m == 0:
-        return float(arr.max())
-    return float(np.partition(arr, n - 1 - m)[n - 1 - m])
 
 
 def self_scale(data: DataMatrix, k_star: int) -> np.ndarray:

@@ -7,6 +7,7 @@ calibrated by pilot runs and sit well inside the observed margins.
 """
 
 import contextlib
+import math
 import os
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -34,7 +35,6 @@ from tailcluster.distributions import (
 )
 from tailcluster.hill import hill
 from tailcluster.ingest import min_positive_count, read_price_csv, returns
-from tailcluster.order_stats import upper_order_stat
 from tailcluster.simulate import MODELS, build_scale_matrix
 
 getcontext().prec = 60
@@ -162,19 +162,38 @@ def test_criterion_02_scale_invariance():
 
 
 def test_criterion_03_order_stat_oracle():
+    # every order statistic the peel selects, against a full sort of the
+    # scaled columns: each step's pooled threshold and column statistics
     rng = np.random.default_rng(303)
     checked = 0
     for i in range(1000):
-        n = int(rng.integers(5, 400))
+        n, p = int(rng.integers(5, 401)), int(rng.integers(2, 9))
         if i % 2 == 0:
-            values = rng.integers(0, 5, size=n).astype(float)  # duplicates
+            values = rng.integers(1, 6, size=(n, p)).astype(float)  # heavy ties
         else:
-            values = rng.standard_normal(n) * 10.0
-        ranks = {0, n - 1, int(rng.integers(0, n))}
-        for m in ranks:
-            assert upper_order_stat(values, m) == sort_oracle(values, m)
+            values = np.exp(rng.standard_normal((n, p)) * rng.uniform(0.1, 2.0, size=p))
+        k = int(rng.integers(2, n - 1))
+        k_star = int(rng.integers(k + 1, n))
+        beta = float(rng.uniform(1.5 / k, 1.0))
+        _, trace = cluster_unknown_g(
+            DataMatrix(values=values), ClusterParams(k=k, k_star=k_star, beta=beta)
+        )
+        denoms = np.array([sort_oracle(values[:, j], k_star) for j in range(p)])
+        scaled = values / denoms
+        m = math.floor(beta * k)
+        for step in trace.steps:
+            pool = scaled[:, [j - 1 for j in step.active]].ravel()
+            assert step.threshold == sort_oracle(pool, k * len(step.active) - 1)
             checked += 1
-    report(3, True, f"1000 vectors (with duplicates), {checked} ranks match full sort")
+            for j in step.active:
+                assert step.column_stats[j] == sort_oracle(scaled[:, j - 1], m)
+                checked += 1
+    report(
+        3,
+        True,
+        f"1000 matrices (half with heavy ties), {checked} peel thresholds and "
+        "column statistics match full sort",
+    )
 
 
 def test_criterion_04_known_unknown_consistency():

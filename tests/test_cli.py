@@ -7,7 +7,6 @@ as a shell user would see them.
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -112,21 +111,19 @@ class TestCluster:
 
     @pytest.mark.parametrize("mode", [["--auto-g"], ["--known-g", "2"]])
     def test_one_hill_pass(self, tmp_path, monkeypatch, mode):
-        # tailcluster.hill is the re-exported function; the module is in sys.modules
-        hill_module = sys.modules["tailcluster.hill"]
         calls = []
-        real = hill_module.hill
+        real = cli.hill_gammas
 
-        def counting(column, k):
+        def counting(data, k):
             calls.append(k)
-            return real(column, k)
+            return real(data, k)
 
-        monkeypatch.setattr(hill_module, "hill", counting)
+        monkeypatch.setattr(cli, "hill_gammas", counting)
         data, _ = generate(SimModelSpec(model="A", g=2, q=3, delta=0.5, n=300, seed=2))
         inp = tmp_path / "d.csv"
         write_data_csv(data, inp)
         assert main(["cluster", str(inp), *mode, "--k-hill", "6", "-o", "out.json"]) == 0
-        assert calls == [6] * data.p
+        assert calls == [6]
 
     def test_prices_path(self, tmp_path):
         inp = write(tmp_path, "prices.csv", PRICE_CSV)
@@ -319,6 +316,12 @@ class TestReturns:
         ))
         assert main(["returns", inp, "--output", "ret.csv"]) == 2
         assert "row 2, column 'date'" in capsys.readouterr().err
+
+    def test_nonpositive_price_is_validation_exit(self, tmp_path, capsys):
+        inp = write(tmp_path, "p.csv", "date,a\n2020-01-01,1.0\n2020-01-02,-1.0\n")
+        assert main(["returns", inp, "--output", "ret.csv"]) == 3
+        assert "price for a on 2020-01-02 is -1.0; " in capsys.readouterr().err
+        assert not (tmp_path / "ret.csv").exists()
 
     def test_infinite_price_is_parse_exit(self, tmp_path, capsys):
         inp = write(tmp_path, "p.csv", (

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from tailcluster.cluster import (
     ActiveSetExhausted,
     IterationTrace,
-    TraceStep,
     cluster_known_g,
     cluster_unknown_g,
+    known_g_from,
 )
 from tailcluster.core import (
     ClusterParams,
@@ -319,22 +319,51 @@ class TestAlgorithmProperties:
             assert part.groups[g_prime - 1] == tuple(tail_union)
 
 
-class TestTrace:
-    def test_rejects_overlapping_extractions(self):
-        steps = (
-            TraceStep(active=(1, 2), threshold=1.0, column_stats={}, extracted=(1,)),
-            TraceStep(active=(2,), threshold=1.0, column_stats={}, extracted=(1,)),
-        )
-        with pytest.raises(ValidationError):
-            IterationTrace(steps=steps)
+def assert_peel_invariants(steps, p):
+    """Extractions are disjoint; each active set is the last minus its extraction."""
+    extracted = [j for step in steps for j in step.extracted]
+    assert len(extracted) == len(set(extracted))
+    assert set(extracted) <= set(range(1, p + 1))
+    if steps:
+        assert steps[0].active == tuple(range(1, p + 1))
+    for prev, step in zip(steps, steps[1:]):
+        assert step.active == tuple(j for j in prev.active if j not in prev.extracted)
+        assert set(step.active) < set(prev.active)
 
-    def test_rejects_non_shrinking_active(self):
-        steps = (
-            TraceStep(active=(1, 2), threshold=1.0, column_stats={}, extracted=(1,)),
-            TraceStep(active=(1, 2), threshold=1.0, column_stats={}, extracted=(2,)),
+
+class TestTrace:
+    @given(
+        seed=st.integers(0, 10**6),
+        ties=st.booleans(),
+        dup=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_peel_invariants(self, seed, ties, dup, data):
+        # mixed tail indices; ties rounds values, dup repeats a column
+        rng = np.random.default_rng(seed)
+        p = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(20, 80))
+        u = rng.uniform(1e-12, 1.0 - 1e-12, size=(n, p))
+        values = u ** -rng.uniform(0.05, 2.0, size=p)
+        if ties:
+            values = np.ceil(values * 2.0)
+        if dup:
+            values[:, -1] = values[:, 0]
+        k = data.draw(st.integers(2, n // 4))
+        k_star = data.draw(st.integers(k + 1, n - 1))
+        beta = data.draw(st.floats(0.5, 0.99))
+        _, trace = cluster_unknown_g(
+            DataMatrix(values=values), ClusterParams(k=k, k_star=k_star, beta=beta)
         )
-        with pytest.raises(ValidationError):
-            IterationTrace(steps=steps)
+        assert_peel_invariants(trace.steps, p)
+        assert sorted(j for step in trace.steps for j in step.extracted) == list(range(1, p + 1))
+        for g in range(1, len(trace) + 1):
+            part, prefix = known_g_from(trace, g)
+            assert prefix.steps == trace.steps[: g - 1]
+            assert_peel_invariants(prefix.steps, p)
+            assert part.groups[-1] == trace.steps[g - 1].active
+            assert sorted(j for grp in part.groups for j in grp) == list(range(1, p + 1))
 
     def test_len(self):
         assert len(IterationTrace(steps=())) == 0

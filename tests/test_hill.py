@@ -13,10 +13,10 @@ from tailcluster.core import DataMatrix, TailPartition, ValidationError
 from tailcluster.hill import (
     HillEstimate,
     NonpositiveOrderStat,
-    _hill_gammas,
     estimate_group_indices,
     hill,
     hill_ci,
+    hill_gammas,
     kmeans_1d_exact,
     tail_kmeans,
 )
@@ -364,7 +364,7 @@ class TestKmeansMatchesReference:
     @pytest.mark.parametrize("model", MODELS)
     def test_generated_hill_vectors(self, model):
         data, _ = generate(SimModelSpec(model=model, g=3, q=6, delta=0.5, n=400, seed=5))
-        gammas = _hill_gammas(data, 20)
+        gammas = hill_gammas(data, 20)
         for g in range(1, min(data.p, 6) + 1):
             assert kmeans_1d_exact(gammas, g) == reference_kmeans_1d(gammas, g)
 
@@ -377,7 +377,13 @@ class TestHillGammas:
         for k in (1, 2, 9, 50, 299):
             ref = np.array([hill(data.column(j), k).gamma_hat for j in range(1, data.p + 1)])
             # compare bit patterns, so that -0.0 against 0.0 fails too
-            np.testing.assert_array_equal(_hill_gammas(data, k).view(np.int64), ref.view(np.int64))
+            np.testing.assert_array_equal(hill_gammas(data, k).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_rejects_k_out_of_range(self, k):
+        data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))
+        with pytest.raises(ValidationError, match=rf"k={k} out of range \[1, 39\]"):
+            hill_gammas(data, k)
 
 
 class TestTailKmeans:
@@ -407,8 +413,9 @@ class TestTailKmeans:
             [pareto_quantile_column(10, 1.0), np.linspace(-5, 4, 10)]
         )
         data = DataMatrix(values=values, column_labels=("good", "bad"))
-        with pytest.raises(NonpositiveOrderStat, match="bad"):
+        with pytest.raises(NonpositiveOrderStat, match="in column bad") as exc:
             tail_kmeans(data, g=2, k=8)
+        assert exc.value.column == "bad"
 
 
 class TestEstimateGroupIndices:

@@ -106,6 +106,14 @@ class TestLossReturnValues:
         assert "eur" in str(exc.value)
         assert "2020-01-02" in str(exc.value)
 
+    def test_nonpositive_price_message_prints_a_plain_float(self):
+        t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [-1.0]])
+        with pytest.raises(ValidationError) as exc:
+            loss_return_values(t)
+        assert str(exc.value) == (
+            "price for a on 2020-01-02 is -1.0; prices must be strictly positive"
+        )
+
     def test_returns_wraps_datamatrix(self):
         t = table(
             ["2020-01-01", "2020-01-02", "2020-01-03"],

@@ -1,4 +1,4 @@
-"""Tests for order-statistic selection and self-scaling."""
+"""Tests for self-scaling."""
 
 import numpy as np
 import pytest
@@ -6,57 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailcluster.core import DataMatrix, ValidationError
-from tailcluster.order_stats import NonpositiveThreshold, self_scale, upper_order_stat
-
-# ---------------------------------------------------------------------------
-# full-sort reference oracle, written before the selection implementation
-
-
-def sort_oracle(values, m: int) -> float:
-    return float(sorted(values, reverse=True)[m])
-
-
-# vectors that force duplicates alongside generic floats
-dup_vectors = st.lists(
-    st.one_of(
-        st.integers(-5, 5).map(float),
-        st.floats(-100.0, 100.0, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-class TestUpperOrderStat:
-    def test_examples(self):
-        assert upper_order_stat([3.0, 1.0, 2.0], 0) == 3.0
-        assert upper_order_stat([3.0, 1.0, 2.0], 2) == 1.0
-        # duplicates retained: descending sort is [5, 5, 2, 1]
-        assert upper_order_stat([5.0, 5.0, 1.0, 2.0], 1) == sort_oracle(
-            [5.0, 5.0, 1.0, 2.0], 1
-        )
-        assert upper_order_stat([5.0, 5.0, 1.0, 2.0], 1) == 5.0
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            upper_order_stat([1.0, 2.0], 2)
-        with pytest.raises(ValidationError):
-            upper_order_stat([1.0, 2.0], -1)
-        with pytest.raises(ValidationError):
-            upper_order_stat([], 0)
-        with pytest.raises(ValidationError):
-            upper_order_stat([[1.0, 2.0]], 0)
-
-    @given(values=dup_vectors, data=st.data())
-    @settings(max_examples=300)
-    def test_matches_sort_oracle(self, values, data):
-        m = data.draw(st.integers(0, len(values) - 1))
-        assert upper_order_stat(values, m) == sort_oracle(values, m)
-
-    @given(values=dup_vectors)
-    def test_monotone_in_rank(self, values):
-        stats = [upper_order_stat(values, m) for m in range(len(values))]
-        assert all(a >= b for a, b in zip(stats, stats[1:]))
+from tailcluster.order_stats import NonpositiveThreshold, self_scale
 
 
 class TestSelfScale:
