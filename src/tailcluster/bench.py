@@ -22,6 +22,14 @@ datasets, which pairs the comparison (common random numbers), while any
 change to the design decouples the streams. Results are independent of
 worker scheduling.
 
+One report, one task list: run_sweep takes every sweep of a report (the
+fig3 preset has three) and checks that they share the template fields.
+It resolves and validates every point, and builds every replication's
+SimModelSpec and ClusterParams, before any replication runs. The
+replications then run as one task list keyed by (point, rep), in this
+process or in one process pool. The presets are plain SweepConfig
+tuples with reps=100 and the default master seed.
+
 Method k conventions: the baseline's internal Hill step uses the same k
 as the threshold method (both receive the swept clustering k), while
 the post-clustering aggregation Hill step uses k_hill (default: the
@@ -42,7 +50,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -74,7 +82,6 @@ __all__ = [
     "BenchReport",
     "run_replication",
     "run_sweep",
-    "merge_reports",
     "emit_report",
     "parse_report",
     "PRESETS",
@@ -258,19 +265,10 @@ class BenchReport:
     wall_time_total: float = 0.0
 
 
-@dataclass(frozen=True)
-class _Point:
-    g: int
-    q: int
-    delta: float
-    k: int
-    k_star: int
-    beta: float
-    k_hill: int
-    defaults_used: tuple[str, ...]
-
-
-def _resolve_point(config: SweepConfig, g, q, delta, k, k_star, beta) -> _Point:
+def _resolve_point(
+    config: SweepConfig, g, q, delta, k, k_star, beta
+) -> tuple[PointReport, ClusterParams]:
+    """One point's report, with its rep seeds and no cells yet, and its params."""
     p = g * q
     if p < 2 and (k is None or k_star is None):
         raise ValidationError(
@@ -280,82 +278,96 @@ def _resolve_point(config: SweepConfig, g, q, delta, k, k_star, beta) -> _Point:
     # n0 = n: simulated data is all-positive by construction
     params, defaults_used = resolve_params(p, config.n, k=k, k_star=k_star, beta=beta)
     params.validate_for(config.n, p)
-    k_hill = config.k_hill if config.k_hill is not None else params.k
-    return _Point(
+    point = PointReport(
+        model=config.model,
         g=int(g),
         q=int(q),
         delta=float(delta),
+        n=config.n,
         k=params.k,
         k_star=params.k_star,
         beta=params.beta,
-        k_hill=int(k_hill),
+        k_hill=int(config.k_hill if config.k_hill is not None else params.k),
         defaults_used=tuple(defaults_used),
+        rep_seeds=tuple(
+            _rep_seed(config.master_seed, config.model, g, q, delta, config.n, r)
+            for r in range(config.reps)
+        ),
+        cells=(),
     )
+    return point, params
 
 
-def _expand_points(config: SweepConfig) -> list[_Point]:
-    points = []
-    for g, q, delta, k, k_star, beta in product(
-        config.g, config.q, config.delta, config.k, config.k_star, config.beta
-    ):
-        points.append(_resolve_point(config, g, q, delta, k, k_star, beta))
-    return points
+def _task(args) -> dict[str, MethodResult]:
+    """One (point, rep) unit of work: run_replication on prebuilt arguments."""
+    return run_replication(*args)
 
 
-def _task(args) -> tuple[int, int, dict[str, MethodResult]]:
-    """One (point, rep) unit of work: run_replication's results, keyed."""
-    (pt_idx, rep_idx, seed, model, n, point, methods, include_raw_hill) = args
-    spec = SimModelSpec(model=model, g=point.g, q=point.q, delta=point.delta, n=n, seed=seed)
-    params = ClusterParams(k=point.k, k_star=point.k_star, beta=point.beta)
-    return pt_idx, rep_idx, run_replication(
-        spec, params, methods=methods, k_hill=point.k_hill, include_raw_hill=include_raw_hill
-    )
+# the fields that every sweep of one report must share
+_TEMPLATE_FIELDS = ("model", "n", "reps", "master_seed", "methods")
 
 
-def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
-    """Run every replication of every sweep point and aggregate.
-
-    With workers > 1 the replications run in a process pool of
-    min(workers, number of replications, CPU count) processes;
-    aggregation is keyed by (point, rep) so the report is identical to a
-    sequential run.
+def _shared_template(configs) -> dict:
+    """The template fields shared by configs.
 
     Raises:
-        ValidationError: workers is below 1.
+        ValidationError: there are no configs, or one differs from the
+            first in a template field.
+    """
+    if not configs:
+        raise ValidationError("no sweeps to run")
+    head = {f: getattr(configs[0], f) for f in _TEMPLATE_FIELDS}
+    for i, config in enumerate(configs[1:], start=1):
+        for f, want in head.items():
+            if getattr(config, f) != want:
+                raise ValidationError(
+                    f"sweep {i} differs from sweep 0 in {f}: {getattr(config, f)!r} != {want!r}"
+                )
+    return head
+
+
+def run_sweep(*configs: SweepConfig, workers: int = 1) -> BenchReport:
+    """Run every replication of every point of one or more sweeps: one report.
+
+    The sweeps share the template fields (model, n, reps, master_seed,
+    methods) and their points follow in order. Every point is resolved
+    and every replication's spec and params built before any replication
+    runs, so a bad point fails first. The replications run as one task
+    list keyed by (point, rep): in this process, or with workers > 1 in
+    one pool of min(workers, number of replications, CPU count)
+    processes. The report is identical either way.
+
+    Raises:
+        ValidationError: workers is below 1, there are no configs, two
+            differ in a template field, or a point is invalid.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
-    points = _expand_points(config)
-    tasks = []
-    seeds_by_point: list[list[int]] = []
-    for pt_idx, pt in enumerate(points):
-        seeds = [
-            _rep_seed(config.master_seed, config.model, pt.g, pt.q, pt.delta, config.n, r)
-            for r in range(config.reps)
-        ]
-        seeds_by_point.append(seeds)
-        for rep_idx, seed in enumerate(seeds):
-            tasks.append(
-                (pt_idx, rep_idx, seed, config.model, config.n, pt,
-                 config.methods, config.include_raw_hill)
-            )
-    raw: dict[tuple[int, int], dict[str, MethodResult]] = {}
+    template = _shared_template(configs)
+    points: list[PointReport] = []
+    tasks = {}
+    for config in configs:
+        for axes in product(config.g, config.q, config.delta, config.k, config.k_star, config.beta):
+            point, params = _resolve_point(config, *axes)
+            for rep, seed in enumerate(point.rep_seeds):
+                spec = SimModelSpec(config.model, point.g, point.q, point.delta, config.n, seed)
+                tasks[len(points), rep] = (
+                    spec, params, config.methods, point.k_hill, config.include_raw_hill
+                )
+            points.append(point)
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for pt_idx, rep_idx, results in pool.map(_task, tasks, chunksize=4):
-                raw[(pt_idx, rep_idx)] = results
+            raw = dict(zip(tasks, pool.map(_task, tasks.values(), chunksize=4)))
     else:
-        for args in tasks:
-            pt_idx, rep_idx, results = _task(args)
-            raw[(pt_idx, rep_idx)] = results
-    point_reports = []
-    cell_methods = list(config.methods) + (["raw_hill"] if config.include_raw_hill else [])
-    for pt_idx, pt in enumerate(points):
+        raw = dict(zip(tasks, map(_task, tasks.values())))
+    filled = []
+    for pt_idx, point in enumerate(points):
+        outs = [raw[pt_idx, rep] for rep in range(len(point.rep_seeds))]
         cells = []
-        for method in cell_methods:
-            results = [raw[(pt_idx, rep_idx)][method] for rep_idx in range(config.reps)]
+        for method in outs[0]:  # the requested methods, then raw_hill if included
+            results = [out[method] for out in outs]
             # a failed result carries only its error: no accuracy, no mse
             accs = tuple(r.accuracy for r in results if r.accuracy is not None)
             mses = tuple(r.mse for r in results if r.mse is not None)
@@ -371,48 +383,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> BenchReport:
                     wall_time=sum(r.seconds for r in results),
                 )
             )
-        point_reports.append(
-            PointReport(
-                model=config.model,
-                n=config.n,
-                rep_seeds=tuple(seeds_by_point[pt_idx]),
-                cells=tuple(cells),
-                **asdict(pt),
-            )
-        )
+        filled.append(replace(point, cells=tuple(cells)))
     return BenchReport(
-        **_shared_template([config]),
-        points=tuple(point_reports),
+        **template,
+        points=tuple(filled),
         wall_time_total=time.perf_counter() - t_start,
-    )
-
-
-# the fields that every sweep merged into one report must share
-_TEMPLATE_FIELDS = ("model", "n", "reps", "master_seed", "methods")
-
-
-def _shared_template(sweeps) -> dict:
-    """The template fields shared by sweeps (configs or reports).
-
-    Raises:
-        ValidationError: there are no sweeps, or two differ in a template field.
-    """
-    if not sweeps:
-        raise ValidationError("no sweeps to merge")
-    first, *rest = sweeps
-    head = {f: getattr(first, f) for f in _TEMPLATE_FIELDS}
-    if any({f: getattr(s, f) for f in _TEMPLATE_FIELDS} != head for s in rest):
-        raise ValidationError("reports differ in template fields; cannot merge")
-    return head
-
-
-def merge_reports(reports) -> BenchReport:
-    """Concatenate the points of sweeps that share every template field."""
-    reports = list(reports)
-    return BenchReport(
-        **_shared_template(reports),
-        points=tuple(pt for rep in reports for pt in rep.points),
-        wall_time_total=sum(r.wall_time_total for r in reports),
     )
 
 
@@ -465,52 +440,19 @@ def parse_report(blob: bytes) -> BenchReport:
         raise ValidationError(f"report schema_version is not {SCHEMA_VERSION}")
     return from_jsonable(BenchReport, doc, "report")
 
+_FIG1 = SweepConfig(
+    model="A", n=2000, reps=100, methods=METHODS, g=(3, 4, 5), q=(5, 10, 15, 20)
+)
+_Q15 = replace(_FIG1, q=(15,))
 
-def _preset_fig1(reps: int, master_seed: int) -> list[SweepConfig]:
-    return [
-        SweepConfig(
-            model="A", n=2000, reps=reps, master_seed=master_seed,
-            methods=METHODS, g=(3, 4, 5), q=(5, 10, 15, 20), delta=(0.5,),
-        )
-    ]
-
-
-def _preset_fig2(reps: int, master_seed: int) -> list[SweepConfig]:
-    return [
-        SweepConfig(
-            model="A", n=2000, reps=reps, master_seed=master_seed,
-            methods=METHODS, g=(3, 4, 5), q=(15,),
-            delta=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-        )
-    ]
-
-
-def _preset_fig3(reps: int, master_seed: int) -> list[SweepConfig]:
-    # vary one tuning parameter at a time, others at their defaults
-    shared = dict(
-        model="A", n=2000, reps=reps, master_seed=master_seed,
-        methods=METHODS, g=(3, 4, 5), q=(15,), delta=(0.5,),
-    )
-    return [
-        SweepConfig(**shared, k=(4, 8, 12, 16, 24, 32)),
-        SweepConfig(**shared, beta=(0.55, 0.65, 0.75, 0.85, 0.95)),
-        SweepConfig(**shared, k_star=(600, 1000, 1400, 1717, 1950)),
-    ]
-
-
-def _preset_fig5(reps: int, master_seed: int) -> list[SweepConfig]:
-    return [
-        SweepConfig(
-            model="A", n=2000, reps=reps, master_seed=master_seed,
-            methods=METHODS, g=(3, 4, 5), q=(5, 10, 15, 20), delta=(0.5,),
-            include_raw_hill=True,
-        )
-    ]
-
-
-PRESETS = {
-    "fig1": _preset_fig1,
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig5": _preset_fig5,
+PRESETS: dict[str, tuple[SweepConfig, ...]] = {
+    "fig1": (_FIG1,),
+    "fig2": (replace(_Q15, delta=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),),
+    # one tuning parameter varies per sweep, the others at their defaults
+    "fig3": (
+        replace(_Q15, k=(4, 8, 12, 16, 24, 32)),
+        replace(_Q15, beta=(0.55, 0.65, 0.75, 0.85, 0.95)),
+        replace(_Q15, k_star=(600, 1000, 1400, 1717, 1950)),
+    ),
+    "fig5": (replace(_FIG1, include_raw_hill=True),),
 }

@@ -24,15 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (
-    DEFAULT_MASTER_SEED,
-    PRESETS,
-    SweepConfig,
-    _shared_template,
-    emit_report,
-    merge_reports,
-    run_sweep,
-)
+from .bench import PRESETS, SweepConfig, emit_report, run_sweep
 from .cluster import cluster_known_g, cluster_unknown_g
 from .core import (
     SCHEMA_VERSION,
@@ -45,7 +37,7 @@ from .core import (
     resolve_params,
 )
 from .hill import HillEstimate, group_means, hill_gammas, hill_ci
-from .ingest import min_positive_count, read_data_csv, read_price_csv, returns, write_data_csv
+from .ingest import min_positive_count, read_data_csv, read_price_csv, read_text, returns, write_data_csv
 from .simulate import MODELS, SimModelSpec, generate
 
 
@@ -192,7 +184,7 @@ def cmd_simulate(args) -> int:
 
 def _configs_from_file(path: str) -> list[SweepConfig]:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     docs = raw if isinstance(raw, list) else [raw]
@@ -200,22 +192,13 @@ def _configs_from_file(path: str) -> list[SweepConfig]:
 
 
 def cmd_bench(args) -> int:
-    if args.preset:
-        builder = PRESETS[args.preset]
-        seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
-        configs = builder(args.reps if args.reps is not None else 100, seed)
-    else:
-        configs = _configs_from_file(args.config)
-        overrides = {}
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if overrides:
-            configs = [replace(c, **overrides) for c in configs]
-    _shared_template(configs)  # before any replication runs
-    reports = [run_sweep(c, workers=args.workers) for c in configs]
-    report = merge_reports(reports) if len(reports) > 1 else reports[0]
+    configs = PRESETS[args.preset] if args.preset else _configs_from_file(args.config)
+    overrides = {
+        field: value
+        for field, value in (("reps", args.reps), ("master_seed", args.seed))
+        if value is not None
+    }
+    report = run_sweep(*(replace(c, **overrides) for c in configs), workers=args.workers)
     json_path = _out_path(args.out + ".json")
     csv_path = _out_path(args.out + ".csv")
     json_path.write_bytes(emit_report(report, "json"))
@@ -317,19 +300,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TailClusterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except np.linalg.LinAlgError as exc:
+    except (TailClusterError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

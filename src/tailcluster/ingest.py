@@ -14,6 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "read_data_csv",
     "write_data_csv",
     "read_price_csv",
+    "read_text",
     "min_positive_count",
 ]
 
@@ -143,11 +145,25 @@ def _read_rows(text: str, source: str) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text, line endings untranslated.
+
+    Raises:
+        ParseError: a byte does not decode; the message names the file
+            and the byte's offset.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: byte {exc.start} (0x{raw[exc.start]:02x}) is not valid UTF-8"
+        ) from None
+
+
 def read_data_csv(path) -> DataMatrix:
     """Read a fully numeric CSV (header row of column labels) as a DataMatrix."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    header, body = _read_rows(text, str(path))
+    header, body = _read_rows(read_text(path), str(path))
     if not body:
         raise ParseError(f"{path}: no data rows")
     values = np.empty((len(body), len(header)))
@@ -177,9 +193,7 @@ def read_price_csv(path) -> PriceTable:
     Missing prices may be written as empty fields or any of the tokens
     NA, NaN, ND, null (case-insensitive).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    header, body = _read_rows(text, str(path))
+    header, body = _read_rows(read_text(path), str(path))
     if len(header) < 2:
         raise ParseError(f"{path}: need a date column plus at least one series")
     if not body:

@@ -1,7 +1,9 @@
 """The package's public surface: every exported name resolves."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,18 @@ def test_all_entries_resolve(name):
 def test_package_exports_the_hill_pass():
     for attr in ("hill_gammas", "group_means", "estimate_group_indices"):
         assert callable(getattr(tailcluster, attr))
+
+
+def test_no_module_imports_another_modules_private_name():
+    bad = []
+    for path in sorted(Path(tailcluster.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("tailcluster")
+            ):
+                bad += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert bad == []

@@ -2,20 +2,21 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tailcluster import bench
+from tailcluster import bench, cli
 from tailcluster import cluster as cluster_module
 from tailcluster.bench import (
+    DEFAULT_MASTER_SEED,
     METHODS,
     BenchReport,
     MethodCell,
     PRESETS,
     SweepConfig,
     emit_report,
-    merge_reports,
     parse_report,
     run_replication,
     run_sweep,
@@ -203,13 +204,39 @@ class TestRunSweep:
         run_sweep(tiny_config(reps=3), workers=1000)
         run_sweep(tiny_config(reps=3), workers=2)
         run_sweep(tiny_config(reps=6), workers=1000)
-        assert pool_sizes == [3, 2, 4]
+        # two sweeps of 3 reps: one pool for their 6 replications
+        run_sweep(tiny_config(reps=3), tiny_config(reps=3, g=(3,)), workers=1000)
+        assert pool_sizes == [3, 2, 4, 4]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, pool_sizes, workers):
         with pytest.raises(ValidationError, match="workers"):
             run_sweep(tiny_config(), workers=workers)
         assert pool_sizes == []
+
+    @pytest.fixture
+    def replications(self, monkeypatch):
+        calls = []
+        real = bench.run_replication
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bench, "run_replication", counting)
+        return calls
+
+    def test_bad_point_fails_before_any_replication(self, replications):
+        with pytest.raises(ValidationError, match=r"delta must lie in \(0, 1\), got 1.5"):
+            run_sweep(tiny_config(delta=(0.5, 1.5)))
+        assert replications == []
+        run_sweep(tiny_config(reps=2))
+        assert len(replications) == 2
+
+    def test_bad_later_sweep_fails_before_any_replication(self, replications):
+        with pytest.raises(ValidationError, match="single-column"):
+            run_sweep(tiny_config(), tiny_config(g=(1,), q=(1,)))
+        assert replications == []
 
     def test_shared_design_shares_rep_seeds(self):
         # a pure tuning-parameter sweep reuses the same datasets per rep
@@ -310,39 +337,67 @@ class TestReports:
 
 
 class TestMergeReports:
+    # several sweeps make one report: run_sweep(a, b) is run_sweep(a) then run_sweep(b)
     def test_merges_points(self):
-        a = run_sweep(tiny_config(g=(2,)))
-        b = run_sweep(tiny_config(g=(3,)))
-        merged = merge_reports([a, b])
-        assert len(merged.points) == 2
-        assert strip_times(merged) == strip_times(a) + strip_times(b)
+        a = tiny_config(g=(2,))
+        b = tiny_config(g=(3,), include_raw_hill=True)
+        apart = [run_sweep(a), run_sweep(b)]
+        for workers in (1, 2):
+            merged = run_sweep(a, b, workers=workers)
+            assert len(merged.points) == 2
+            assert strip_times(merged) == strip_times(apart[0]) + strip_times(apart[1])
+            assert [c.method for c in merged.points[1].cells] == [*METHODS, "raw_hill"]
+            assert replace(merged, points=(), wall_time_total=0.0) == replace(
+                apart[0], points=(), wall_time_total=0.0
+            )
 
     def test_rejects_template_mismatch(self):
-        a = run_sweep(tiny_config())
-        b = run_sweep(tiny_config(master_seed=1))
-        with pytest.raises(ValidationError):
-            merge_reports([a, b])
-        with pytest.raises(ValidationError):
-            merge_reports([])
+        with pytest.raises(ValidationError) as exc:
+            run_sweep(tiny_config(), tiny_config(master_seed=1))
+        assert str(exc.value) == "sweep 1 differs from sweep 0 in master_seed: 1 != 99"
+        with pytest.raises(ValidationError, match="no sweeps"):
+            run_sweep()
 
 
 class TestPresets:
-    def test_all_presets_build(self):
-        for name, builder in PRESETS.items():
-            configs = builder(5, 123)
+    @pytest.fixture
+    def bench_configs(self, monkeypatch, tmp_path):
+        """The configs that `bench` with the given flags hands to run_sweep;
+        nothing runs."""
+        seen = []
+
+        def capture(*configs, workers):
+            seen.append(configs)
+            head = configs[0]
+            return BenchReport(head.model, head.n, head.reps, head.master_seed, head.methods, ())
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+
+        def run(*argv):
+            assert cli.main(["bench", *argv, "--out", str(tmp_path / "b")]) == 0
+            return seen.pop()
+
+        return run
+
+    def test_all_presets_build(self, bench_configs):
+        for name, configs in PRESETS.items():
             assert configs, name
-            for cfg in configs:
+            assert all(c.reps == 100 and c.master_seed == DEFAULT_MASTER_SEED for c in configs)
+            assert bench_configs("--preset", name) == configs
+            overridden = bench_configs("--preset", name, "--reps", "5", "--seed", "123")
+            assert overridden == tuple(replace(c, reps=5, master_seed=123) for c in configs)
+            for cfg in overridden:
                 assert cfg.reps == 5
                 assert cfg.master_seed == 123
                 assert cfg.model == "A"
                 assert cfg.n == 2000
 
-    def test_fig3_varies_one_parameter_per_config(self):
-        k_cfg, beta_cfg, kstar_cfg = PRESETS["fig3"](2, 1)
+    def test_fig3_varies_one_parameter_per_config(self, bench_configs):
+        k_cfg, beta_cfg, kstar_cfg = bench_configs("--preset", "fig3", "--reps", "2", "--seed", "1")
         assert len(k_cfg.k) > 1 and k_cfg.beta == (None,) and k_cfg.k_star == (None,)
         assert len(beta_cfg.beta) > 1 and beta_cfg.k == (None,)
         assert len(kstar_cfg.k_star) > 1 and kstar_cfg.k == (None,)
 
-    def test_fig5_includes_raw_hill(self):
-        (cfg,) = PRESETS["fig5"](2, 1)
+    def test_fig5_includes_raw_hill(self, bench_configs):
+        (cfg,) = bench_configs("--preset", "fig5", "--reps", "2", "--seed", "1")
         assert cfg.include_raw_hill

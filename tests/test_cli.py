@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tailcluster import cluster_unknown_g, ClusterParams, generate, SimModelSpec
-from tailcluster import cli
+from tailcluster import bench, cli
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
 from tailcluster.core import SCHEMA_VERSION
@@ -255,15 +255,15 @@ class TestBench:
         assert field in capsys.readouterr().err
 
     def test_template_mismatch_rejected_before_any_sweep(self, tmp_path, capsys, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("run_sweep called")
+        def no_replication(*args, **kwargs):
+            raise AssertionError("run_replication called")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(bench, "run_replication", no_replication)
         docs = [dict(self.CONFIG, model="B"), dict(self.CONFIG, model="A")]
         cfg = write(tmp_path, "cfg.json", json.dumps(docs))
         assert main(["bench", "--config", cfg, "--out", "b"]) == 3
         assert capsys.readouterr().err == (
-            "error: reports differ in template fields; cannot merge\n"
+            "error: sweep 1 differs from sweep 0 in model: 'A' != 'B'\n"
         )
         assert not (tmp_path / "b.json").exists()
 
@@ -340,6 +340,24 @@ class TestExitCodes:
     def test_bad_token_is_parse_exit(self, tmp_path):
         inp = write(tmp_path, "bad.csv", "a,b\n1,2\n3,zebra\n")
         assert main(["cluster", inp, "--auto-g"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, blob, offset",
+        [
+            (["cluster", "IN", "--auto-g"], b"a,b\n1,2\n3,\xff\n", 10),
+            (["hill", "IN"], b"a,b\n1,2\n3,\xff\n", 10),
+            (["returns", "IN", "--output", "r.csv"], b"date,a\n2020-01-01,\xff\n", 18),
+            (["bench", "--config", "IN", "--out", "b"], b'{"model": "\xff"}', 11),
+        ],
+        ids=["cluster", "hill", "returns", "bench"],
+    )
+    def test_undecodable_byte_is_parse_exit(self, tmp_path, capsys, argv, blob, offset):
+        path = tmp_path / "bad.in"
+        path.write_bytes(blob)
+        assert main([str(path) if a == "IN" else a for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: byte {offset} (0xff) is not valid UTF-8\n"
+        )
 
     def test_bad_params_is_validation_exit(self, tmp_path):
         inp = write(tmp_path, "hand.csv", HAND_CSV)
