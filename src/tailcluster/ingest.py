@@ -1,17 +1,20 @@
 """CSV ingestion: price tables, loss returns, and plain data matrices.
 
-Pinned CSV dialect for every reader and writer here: UTF-8, comma
-separator, a header row, decimal points, no thousands separators.
-Price tables put dates (ISO format, strictly increasing) in the first
-column; missing prices are written as an empty field and recognized on
-input as any of "", "NA", "NaN", "ND", "null" (case-insensitive).
+Pinned CSV dialect for every reader and writer here: UTF-8 (one
+leading byte-order mark is dropped), comma separator, a header row,
+decimal points, no thousands or digit separators ("1,000" is two fields
+and "1_000" is rejected). Price tables put dates (ISO format, strictly
+increasing) in the first column; missing prices are written as an empty
+field and recognized on input as any of "", "NA", "NaN", "ND", "null"
+(case-insensitive). Readers check a file row by row and report its first
+fault in file order.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -120,71 +123,132 @@ def min_positive_count(data: DataMatrix) -> int:
 
 
 def _parse_float(token: str, row: int, col_name: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(
-            f"row {row}, column {col_name!r}: cannot parse {token!r} as a number"
-        ) from None
-    return value
+    if "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise ParseError(f"row {row}, column {col_name!r}: cannot parse {token!r} as a number")
 
 
-def _read_rows(text: str, source: str) -> tuple[list[str], list[list[str]]]:
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if not rows:
+def _lines(text: str):
+    """text's lines with their ends, split at "\\n" alone as io.StringIO splits
+    them, without io.StringIO's four-bytes-a-character copy of the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_rows(text: str, source: str):
+    """The header and an iterator over the body, checked as it is read.
+
+    The iterator yields (row, fields, fast) for each non-empty row; row
+    numbers count non-empty rows, the header being row 1. float() reads
+    "1_000" as 1000.0, which the dialect forbids, so fast turns False at
+    the first body line that holds a "_": from there on, rows must take
+    the per-token path, which rejects it.
+    """
+    reader = csv.reader(_lines(text))
+    rows = filter(None, reader)
+    header = next(rows, None)
+    if header is None:
         raise ParseError(f"{source}: empty CSV document")
-    header, body = rows[0], rows[1:]
     if len(set(header)) != len(header):
         raise ParseError(f"{source}: header names must be distinct")
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{source}: row {i} has {len(row)} fields, header has {len(header)}"
-            )
-    return header, body
+    body_start = 0
+    for _ in range(reader.line_num):
+        body_start = text.find("\n", body_start) + 1 or len(text)
+    underscore = text.find("_", body_start)
+    slow_from = (
+        math.inf if underscore < 0
+        else reader.line_num + 1 + text.count("\n", body_start, underscore)
+    )
+
+    def body():
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{source}: row {i} has {len(row)} fields, header has {len(header)}"
+                )
+            yield i, row, reader.line_num < slow_from
+
+    return header, body()
+
+
+def _float_map(fields: list[str]) -> list[float] | None:
+    """fields parsed by one float map, or None when a field does not parse
+    or is not finite and the per-token path must decide."""
+    try:
+        cells = list(map(float, fields))
+    except ValueError:
+        return None
+    # a sum of finite values can overflow: that row just takes the slow path
+    return cells if math.isfinite(sum(cells)) else None
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text, line endings untranslated.
+    """A UTF-8 file's text, line endings untranslated, one leading BOM removed.
 
     Raises:
         ParseError: a byte does not decode; the message names the file
-            and the byte's offset.
+            and the byte's offset from the start of the file.
     """
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path}: byte {exc.start} (0x{raw[exc.start]:02x}) is not valid UTF-8"
         ) from None
 
 
+def _data_cells(row: list[str], i: int, header: list[str]) -> list[float]:
+    cells = []
+    for name, token in zip(header, row):
+        value = _parse_float(token.strip(), i, name)
+        if not math.isfinite(value):
+            raise ParseError(f"row {i}, column {name!r}: non-finite value {token!r}")
+        cells.append(value)
+    return cells
+
+
 def read_data_csv(path) -> DataMatrix:
     """Read a fully numeric CSV (header row of column labels) as a DataMatrix."""
     header, body = _read_rows(read_text(path), str(path))
-    if not body:
+    cells = array("d")
+    for i, row, fast in body:
+        parsed = _float_map(row) if fast else None
+        cells.extend(_data_cells(row, i, header) if parsed is None else parsed)
+    if not cells:
         raise ParseError(f"{path}: no data rows")
-    values = np.empty((len(body), len(header)))
-    for i, row in enumerate(body):
-        for j, token in enumerate(row):
-            value = _parse_float(token.strip(), i + 2, header[j])
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"row {i + 2}, column {header[j]!r}: non-finite value {token!r}"
-                )
-            values[i, j] = value
+    values = np.frombuffer(cells).reshape(-1, len(header))
     return DataMatrix(values=values, column_labels=tuple(header))
 
 
 def write_data_csv(data: DataMatrix, path) -> None:
     """Write a DataMatrix in the pinned dialect; floats round-trip exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([data.label_of(j) for j in range(1, data.p + 1)])
-        for row in data.values:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(
+            [data.label_of(j) for j in range(1, data.p + 1)]
+        )
+        # repr never yields a character csv.writer would quote
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in data.values)
+
+
+def _price_cells(row: list[str], i: int, header: list[str]) -> list[float]:
+    cells = []
+    for name, token in zip(header[1:], row[1:]):
+        token = token.strip()
+        if token.lower() in _MISSING_TOKENS:
+            cells.append(math.nan)
+            continue
+        value = _parse_float(token, i, name)
+        if not math.isfinite(value):
+            raise ParseError(f"row {i}, column {name!r}: non-finite price {token!r}")
+        cells.append(value)
+    return cells
 
 
 def read_price_csv(path) -> PriceTable:
@@ -196,31 +260,21 @@ def read_price_csv(path) -> PriceTable:
     header, body = _read_rows(read_text(path), str(path))
     if len(header) < 2:
         raise ParseError(f"{path}: need a date column plus at least one series")
-    if not body:
-        raise ParseError(f"{path}: no data rows")
     dates = []
-    values = np.empty((len(body), len(header) - 1))
-    missing = np.zeros(values.shape, dtype=bool)
-    for i, row in enumerate(body):
+    cells = array("d")
+    for i, row, fast in body:
         day = row[0].strip()
         try:
             date.fromisoformat(day)
         except ValueError:
             raise ParseError(
-                f"row {i + 2}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
+                f"row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
             ) from None
         dates.append(day)
-        for j, token in enumerate(row[1:]):
-            token = token.strip()
-            if token.lower() in _MISSING_TOKENS:
-                values[i, j] = np.nan
-                missing[i, j] = True
-            else:
-                values[i, j] = _parse_float(token, i + 2, header[j + 1])
-    bad = ~np.isfinite(values) & ~missing
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ParseError(
-            f"row {i + 2}, column {header[j + 1]!r}: non-finite price {body[i][j + 1].strip()!r}"
-        )
-    return PriceTable(dates=tuple(dates), names=tuple(header[1:]), prices=values)
+        # a missing token (NA, NaN, ...) fails the map or reads as NaN
+        parsed = _float_map(row[1:]) if fast else None
+        cells.extend(_price_cells(row, i, header) if parsed is None else parsed)
+    if not dates:
+        raise ParseError(f"{path}: no data rows")
+    prices = np.frombuffer(cells).reshape(-1, len(header) - 1)
+    return PriceTable(dates=tuple(dates), names=tuple(header[1:]), prices=prices)

@@ -164,6 +164,13 @@ class TestHill:
         assert fields[0] == "x"
         assert float(fields[1]) == pytest.approx(1.5, abs=1e-12)
 
+    def test_byte_order_mark_not_in_label(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n3,1\n2,2\n1,3\n")
+        assert main(["hill", str(path), "--k", "2", "--format", "csv"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in out[1:]] == ["a", "b"]
+
     def test_nonpositive_order_stat_names_column(self, tmp_path, capsys):
         inp = write(tmp_path, "neg.csv", "pos,neg\n3,1\n2,-1\n1,-2\n")
         assert main(["hill", inp, "--k", "1"]) == 3
@@ -279,6 +286,12 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
         assert "config 0.delta[0]: " in capsys.readouterr().err
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(self.CONFIG).encode("utf-8"))
+        assert main(["bench", "--config", str(path), "--out", "b"]) == 0
+        assert parse_report((tmp_path / "b.json").read_bytes()).reps == 2
+
     def test_invalid_json_rejected(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", "{not json")
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
@@ -348,8 +361,9 @@ class TestExitCodes:
             (["hill", "IN"], b"a,b\n1,2\n3,\xff\n", 10),
             (["returns", "IN", "--output", "r.csv"], b"date,a\n2020-01-01,\xff\n", 18),
             (["bench", "--config", "IN", "--out", "b"], b'{"model": "\xff"}', 11),
+            (["cluster", "IN", "--auto-g"], b"\xef\xbb\xbfa,b\n1,\xff\n", 9),
         ],
-        ids=["cluster", "hill", "returns", "bench"],
+        ids=["cluster", "hill", "returns", "bench", "after-bom"],
     )
     def test_undecodable_byte_is_parse_exit(self, tmp_path, capsys, argv, blob, offset):
         path = tmp_path / "bad.in"
@@ -357,6 +371,13 @@ class TestExitCodes:
         assert main([str(path) if a == "IN" else a for a in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: byte {offset} (0xff) is not valid UTF-8\n"
+        )
+
+    def test_digit_separator_is_parse_exit(self, tmp_path, capsys):
+        inp = write(tmp_path, "us.csv", "a,b\n1,2\n3,1_000\n")
+        assert main(["hill", inp, "--k", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: row 3, column 'b': cannot parse '1_000' as a number\n"
         )
 
     def test_bad_params_is_validation_exit(self, tmp_path):
