@@ -9,10 +9,9 @@ recorded, the failure is counted, and means are taken over successes.
 A replication peels its dataset once: the known-g partition is read off
 the unknown-g trace, so the peel's time is charged to whichever
 proposed method runs first (its MethodCell.wall_time), not to both.
-Likewise it runs one per-column Hill pass per distinct k: the baseline's
-k-means, every method's group aggregation and raw_hill read the same
-vector, and the pass's time is charged to the first method that reads
-it.
+Likewise it runs one per-column Hill pass: the baseline's k-means, every
+method's group aggregation and raw_hill read the same vector, and the
+pass's time is charged to the first method that reads it.
 
 Seeding: the data seed of a replication is derived from the master seed
 plus the data-generating design (model, g, q, delta, n) and the rep
@@ -30,14 +29,13 @@ replications then run as one task list keyed by (point, rep), in this
 process or in one process pool. The presets are plain SweepConfig
 tuples with reps=100 and the default master seed.
 
-Method k conventions: the baseline's internal Hill step uses the same k
-as the threshold method (both receive the swept clustering k), while
-the post-clustering aggregation Hill step uses k_hill (default: the
-clustering k) uniformly for every method.
+Every Hill step of a point, the baseline's and the aggregation's, uses
+the point's clustering k.
 
 Reports: the JSON form is core.SCHEMA_VERSION plus dataclasses.asdict of
 the BenchReport, and parse_report decodes it with core.from_jsonable, as
-the CLI does with sweep config files.
+the CLI does with sweep config files. It holds the raw values; the means
+are derived from them (MethodCell properties, CSV columns).
 """
 
 from __future__ import annotations
@@ -88,6 +86,8 @@ __all__ = [
 ]
 
 METHODS = ("proposed_known_g", "proposed_unknown_g", "tail_kmeans")
+# the per-column Hill estimates themselves, ungrouped: a reference, not a clustering
+_RAW_HILL = "raw_hill"
 
 DEFAULT_MASTER_SEED = 314159
 
@@ -112,8 +112,6 @@ class SweepConfig:
     k: tuple[int | None, ...] = (None,)
     k_star: tuple[int | None, ...] = (None,)
     beta: tuple[float | None, ...] = (None,)
-    k_hill: int | None = None
-    include_raw_hill: bool = False
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -122,13 +120,11 @@ class SweepConfig:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.reps < 1:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
-        bad = [m for m in self.methods if m not in METHODS]
+        bad = [m for m in self.methods if m not in (*METHODS, _RAW_HILL)]
         if bad:
-            raise ValidationError(f"unknown methods {bad}; choose from {METHODS}")
+            raise ValidationError(f"unknown methods {bad}; choose from {(*METHODS, _RAW_HILL)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError("methods must not repeat")
-        if self.k_hill is not None and self.k_hill < 1:
-            raise ValidationError(f"k_hill must be >= 1, got {self.k_hill}")
         for name in ("g", "q", "delta", "k", "k_star", "beta"):
             axis = getattr(self, name)
             if not isinstance(axis, tuple):
@@ -161,28 +157,23 @@ def _rep_seed(master_seed: int, model: str, g: int, q: int, delta: float, n: int
 
 
 def run_replication(
-    spec: SimModelSpec,
-    params: ClusterParams,
-    methods=METHODS,
-    k_hill: int | None = None,
-    include_raw_hill: bool = False,
+    spec: SimModelSpec, params: ClusterParams, methods=METHODS
 ) -> dict[str, MethodResult]:
     """One dataset, every requested method, scored against the truth.
 
     A method that raises a domain error is recorded in its result's
-    error field rather than aborting the replication. When
-    include_raw_hill is set, an extra "raw_hill" entry carries the MSE
-    of per-column Hill estimates without any grouping.
+    error field rather than aborting the replication. The "raw_hill"
+    method carries the MSE of per-column Hill estimates without any
+    grouping, and no partition or accuracy.
     """
     data, truth = generate(spec)
-    k_used = k_hill if k_hill is not None else params.k
     true_cols = truth.column_gammas()
-    # one peel for both proposed methods and one Hill pass per k for every
+    # one peel for both proposed methods and one Hill pass for every
     # consumer; a failure is not cached, so each method records it
     peel = functools.cache(lambda: cluster_unknown_g(data, params.with_known_g(None)))
-    gammas = functools.cache(lambda k: hill_gammas(data, k))
+    gammas = functools.cache(lambda: hill_gammas(data, params.k))
     out: dict[str, MethodResult] = {}
-    for method in (*methods, *(("raw_hill",) if include_raw_hill else ())):
+    for method in methods:
         t0 = time.perf_counter()
         try:
             if method == "proposed_known_g":
@@ -190,12 +181,12 @@ def run_replication(
             elif method == "proposed_unknown_g":
                 part, _ = peel()
             elif method == "tail_kmeans":
-                part = TailPartition(tuple(kmeans_1d_exact(gammas(params.k), truth.g)))
-            elif method == "raw_hill" and include_raw_hill:
-                part = None  # the per-column estimates themselves, ungrouped
+                part = TailPartition(tuple(kmeans_1d_exact(gammas(), truth.g)))
+            elif method == _RAW_HILL:
+                part = None
             else:
                 raise ValidationError(f"unknown method {method!r}")
-            per_col = gammas(k_used) if part is None else group_means(gammas(k_used), part)[1]
+            per_col = gammas() if part is None else group_means(gammas(), part)[1]
             out[method] = MethodResult(
                 partition=part,
                 accuracy=None if part is None else accuracy(truth, part),
@@ -219,18 +210,17 @@ class MethodCell:
     accuracies: tuple[float, ...]
     mses: tuple[float, ...]
     failures: tuple[tuple[int, str], ...]
-    mean_accuracy: float | None
-    mean_mse: float | None
     wall_time: float
 
-    def __post_init__(self):
-        if self.mean_accuracy is not None and self.accuracies:
-            lhs = float(np.mean(self.accuracies))
-            if abs(lhs - self.mean_accuracy) > 1e-12:
-                raise ValidationError("mean_accuracy does not match its raw values")
-        if self.mean_mse is not None and self.mses:
-            if abs(float(np.mean(self.mses)) - self.mean_mse) > 1e-12:
-                raise ValidationError("mean_mse does not match its raw values")
+    @property
+    def mean_accuracy(self) -> float | None:
+        """Mean over the successful replications, None when there are none."""
+        return float(np.mean(self.accuracies)) if self.accuracies else None
+
+    @property
+    def mean_mse(self) -> float | None:
+        """Mean over the successful replications, None when there are none."""
+        return float(np.mean(self.mses)) if self.mses else None
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,6 @@ class PointReport:
     k: int
     k_star: int
     beta: float
-    k_hill: int
     defaults_used: tuple[str, ...]
     rep_seeds: tuple[int, ...]
     cells: tuple[MethodCell, ...]
@@ -253,7 +242,7 @@ class PointReport:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Sweep output: per-point per-method raw values and means."""
+    """Sweep output: per-point per-method raw values."""
 
     model: str
     n: int
@@ -287,7 +276,6 @@ def _resolve_point(
         k=params.k,
         k_star=params.k_star,
         beta=params.beta,
-        k_hill=int(config.k_hill if config.k_hill is not None else params.k),
         defaults_used=tuple(defaults_used),
         rep_seeds=tuple(
             _rep_seed(config.master_seed, config.model, g, q, delta, config.n, r)
@@ -352,9 +340,7 @@ def run_sweep(*configs: SweepConfig, workers: int = 1) -> BenchReport:
             point, params = _resolve_point(config, *axes)
             for rep, seed in enumerate(point.rep_seeds):
                 spec = SimModelSpec(config.model, point.g, point.q, point.delta, config.n, seed)
-                tasks[len(points), rep] = (
-                    spec, params, config.methods, point.k_hill, config.include_raw_hill
-                )
+                tasks[len(points), rep] = (spec, params, config.methods)
             points.append(point)
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size > 1:
@@ -366,23 +352,16 @@ def run_sweep(*configs: SweepConfig, workers: int = 1) -> BenchReport:
     for pt_idx, point in enumerate(points):
         outs = [raw[pt_idx, rep] for rep in range(len(point.rep_seeds))]
         cells = []
-        for method in outs[0]:  # the requested methods, then raw_hill if included
+        for method in template["methods"]:
             results = [out[method] for out in outs]
             # a failed result carries only its error: no accuracy, no mse
-            accs = tuple(r.accuracy for r in results if r.accuracy is not None)
-            mses = tuple(r.mse for r in results if r.mse is not None)
-            fails = tuple((i, r.error) for i, r in enumerate(results) if r.error is not None)
-            cells.append(
-                MethodCell(
-                    method=method,
-                    accuracies=accs,
-                    mses=mses,
-                    failures=fails,
-                    mean_accuracy=float(np.mean(accs)) if accs else None,
-                    mean_mse=float(np.mean(mses)) if mses else None,
-                    wall_time=sum(r.seconds for r in results),
-                )
-            )
+            cells.append(MethodCell(
+                method=method,
+                accuracies=tuple(r.accuracy for r in results if r.accuracy is not None),
+                mses=tuple(r.mse for r in results if r.mse is not None),
+                failures=tuple((i, r.error) for i, r in enumerate(results) if r.error is not None),
+                wall_time=sum(r.seconds for r in results),
+            ))
         filled.append(replace(point, cells=tuple(cells)))
     return BenchReport(
         **template,
@@ -454,5 +433,5 @@ PRESETS: dict[str, tuple[SweepConfig, ...]] = {
         replace(_Q15, beta=(0.55, 0.65, 0.75, 0.85, 0.95)),
         replace(_Q15, k_star=(600, 1000, 1400, 1717, 1950)),
     ),
-    "fig5": (replace(_FIG1, include_raw_hill=True),),
+    "fig5": (replace(_FIG1, methods=(*METHODS, _RAW_HILL)),),
 }

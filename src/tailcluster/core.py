@@ -44,7 +44,7 @@ __all__ = [
     "from_jsonable",
 ]
 
-SCHEMA_VERSION = 1  # of every JSON document the package writes
+SCHEMA_VERSION = 2  # of every JSON document the package writes
 
 
 class TailClusterError(Exception):
@@ -233,8 +233,9 @@ class GroundTruth:
     gammas: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.group_of, dtype=int)
-        gammas = np.asarray(self.gammas, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        labels = np.array(self.group_of, dtype=int)
+        gammas = np.array(self.gammas, dtype=float)
         if labels.ndim != 1 or gammas.ndim != 1:
             raise ValidationError("group_of and gammas must be 1-D")
         g = gammas.size

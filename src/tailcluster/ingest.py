@@ -3,8 +3,8 @@
 Pinned CSV dialect for every reader and writer here: UTF-8 (one
 leading byte-order mark is dropped), comma separator, a header row,
 decimal points, no thousands or digit separators ("1,000" is two fields
-and "1_000" is rejected). Price tables put dates (ISO format, strictly
-increasing) in the first column; missing prices are written as an empty
+and "1_000" is rejected). Price tables put dates (written YYYY-MM-DD,
+strictly increasing) in the first column; missing prices are written as an empty
 field and recognized on input as any of "", "NA", "NaN", "ND", "null"
 (case-insensitive). Readers check a file row by row and report its first
 fault in file order.
@@ -63,10 +63,11 @@ class PriceTable:
             raise ValidationError("a price table needs at least 2 rows")
         if len(set(self.names)) != len(self.names):
             raise ValidationError("series names must be distinct")
-        try:
-            days = [date.fromisoformat(str(d)) for d in self.dates]
-        except ValueError:
-            raise ValidationError("dates must be ISO dates (YYYY-MM-DD)") from None
+        days = []
+        for pos, token in enumerate(map(str, self.dates), start=1):
+            if (day := _iso_date(token)) is None:
+                raise ValidationError(f"date {pos} ({token!r}) is not an ISO date (YYYY-MM-DD)")
+            days.append(day)
         for pos, (a, b) in enumerate(zip(days, days[1:]), start=2):
             if b <= a:
                 raise ValidationError(
@@ -78,6 +79,16 @@ class PriceTable:
         object.__setattr__(self, "prices", arr)
         object.__setattr__(self, "dates", tuple(str(d) for d in self.dates))
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
+
+
+def _iso_date(token: str) -> date | None:
+    """The date token spells as YYYY-MM-DD, or None when it is written any other
+    way (date.fromisoformat also reads forms such as 20200101 and 2020-W01-3)."""
+    try:
+        day = date.fromisoformat(token)
+    except ValueError:
+        return None
+    return day if day.isoformat() == token else None
 
 
 def loss_return_values(prices: PriceTable) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -152,7 +163,10 @@ def _read_rows(text: str, source: str):
     """
     reader = csv.reader(_lines(text))
     rows = filter(None, reader)
-    header = next(rows, None)
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise ParseError(f"{source}: row 1 is not valid CSV ({exc})") from None
     if header is None:
         raise ParseError(f"{source}: empty CSV document")
     if len(set(header)) != len(header):
@@ -167,12 +181,17 @@ def _read_rows(text: str, source: str):
     )
 
     def body():
-        for i, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{source}: row {i} has {len(row)} fields, header has {len(header)}"
-                )
-            yield i, row, reader.line_num < slow_from
+        i = 1
+        try:
+            for i, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{source}: row {i} has {len(row)} fields, header has {len(header)}"
+                    )
+                yield i, row, reader.line_num < slow_from
+        except csv.Error as exc:
+            # raised while reading the row after row i
+            raise ParseError(f"{source}: row {i + 1} is not valid CSV ({exc})") from None
 
     return header, body()
 
@@ -264,12 +283,8 @@ def read_price_csv(path) -> PriceTable:
     cells = array("d")
     for i, row, fast in body:
         day = row[0].strip()
-        try:
-            date.fromisoformat(day)
-        except ValueError:
-            raise ParseError(
-                f"row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
-            ) from None
+        if _iso_date(day) is None:
+            raise ParseError(f"row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date")
         dates.append(day)
         # a missing token (NA, NaN, ...) fails the map or reads as NaN
         parsed = _float_map(row[1:]) if fast else None

@@ -251,8 +251,7 @@ def figure_report():
         n=2000,
         reps=100,
         master_seed=20260825,
-        methods=("proposed_known_g", "proposed_unknown_g", "tail_kmeans"),
-        include_raw_hill=True,
+        methods=("proposed_known_g", "proposed_unknown_g", "tail_kmeans", "raw_hill"),
         g=(3,),
         q=(15,),
         delta=(0.1, 0.5),

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,13 @@ from tailcluster.bench import (
     run_replication,
     run_sweep,
 )
-from tailcluster.core import ClusterParams, ParseError, ValidationError, default_params
+from tailcluster.core import (
+    ClusterParams,
+    ParseError,
+    ValidationError,
+    default_params,
+    from_jsonable,
+)
 from tailcluster.simulate import SimModelSpec
 
 
@@ -45,12 +51,8 @@ def strip_times(report: BenchReport):
     return [
         (
             pt.model, pt.g, pt.q, pt.delta, pt.n, pt.k, pt.k_star, pt.beta,
-            pt.k_hill, pt.defaults_used, pt.rep_seeds,
-            [
-                (c.method, c.accuracies, c.mses, c.failures,
-                 c.mean_accuracy, c.mean_mse)
-                for c in pt.cells
-            ],
+            pt.defaults_used, pt.rep_seeds,
+            [(c.method, c.accuracies, c.mses, c.failures) for c in pt.cells],
         )
         for pt in report.points
     ]
@@ -67,7 +69,7 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             tiny_config(methods=("tail_kmeans", "tail_kmeans"))
         with pytest.raises(ValidationError):
-            tiny_config(k_hill=0)
+            tiny_config(methods=("raw_hill", "raw_hill"))
 
     def test_axes_coerced_to_tuples(self):
         cfg = tiny_config(g=[2, 3], delta=[0.5])
@@ -93,11 +95,14 @@ class TestRunReplication:
 
     def test_failure_recorded_not_raised(self):
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=1, delta=0.5, n=30, seed=1)
-        params = ClusterParams(k=2, k_star=10, beta=0.8)
-        out = run_replication(spec, params, k_hill=40)
-        for method in METHODS:
-            assert out[method].error is not None
-            assert out[method].accuracy is None
+        # k_star and k both exceed what a 30-row matrix admits
+        params = ClusterParams(k=40, k_star=50, beta=0.8)
+        out = run_replication(spec, params, methods=(*METHODS, "raw_hill"))
+        assert list(out) == [*METHODS, "raw_hill"]
+        for result in out.values():
+            assert result.error is not None
+            assert result.accuracy is None
+            assert result.mse is None
 
     def test_one_peel_serves_both_proposed_methods(self, monkeypatch):
         calls = []
@@ -125,20 +130,14 @@ class TestRunReplication:
         monkeypatch.setattr(bench, "hill_gammas", counting)
         return calls
 
-    @pytest.mark.parametrize("explicit_k_hill", [False, True])
-    def test_one_hill_pass_serves_every_method(self, hill_calls, explicit_k_hill):
+    @pytest.mark.parametrize("with_raw_hill", [False, True])
+    def test_one_hill_pass_serves_every_method(self, hill_calls, with_raw_hill):
         spec = SimModelSpec(model="A", g=3, q=5, delta=0.5, n=400, seed=6)
         params = default_params(spec.p, spec.n)
-        k_hill = params.k if explicit_k_hill else None
-        out = run_replication(spec, params, k_hill=k_hill, include_raw_hill=True)
+        methods = (*METHODS, "raw_hill") if with_raw_hill else METHODS
+        out = run_replication(spec, params, methods)
         assert hill_calls == [params.k]
-        assert all(r.error is None for r in out.values())
-
-    def test_one_hill_pass_per_distinct_k(self, hill_calls):
-        spec = SimModelSpec(model="A", g=3, q=5, delta=0.5, n=400, seed=6)
-        params = default_params(spec.p, spec.n)
-        out = run_replication(spec, params, k_hill=params.k + 3, include_raw_hill=True)
-        assert sorted(hill_calls) == [params.k, params.k + 3]
+        assert list(out) == list(methods)
         assert all(r.error is None for r in out.values())
 
     def test_failed_peel_recorded_for_both_proposed_methods(self):
@@ -154,10 +153,11 @@ class TestRunReplication:
     def test_raw_hill_extra(self):
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=2, delta=0.5, n=200, seed=5)
         params = default_params(spec.p, spec.n)
-        out = run_replication(spec, params, include_raw_hill=True)
-        assert "raw_hill" in out
+        out = run_replication(spec, params, methods=("raw_hill",))
+        assert list(out) == ["raw_hill"]
         assert out["raw_hill"].mse is not None
         assert out["raw_hill"].partition is None
+        assert out["raw_hill"].accuracy is None
 
 
 class TestRunSweep:
@@ -252,21 +252,22 @@ class TestRunSweep:
         want = default_params(4, 300)
         assert (pt.k, pt.k_star, pt.beta) == (want.k, want.k_star, want.beta)
         assert pt.defaults_used == ("k", "k_star", "beta")
-        assert pt.k_hill == pt.k
 
     def test_single_column_point_needs_explicit_params(self):
         with pytest.raises(ValidationError, match="k"):
             run_sweep(tiny_config(g=(1,), q=(1,)))
 
     def test_failures_counted_means_over_successes(self):
+        # three one-column groups in 30 rows: every known-g peel runs out of columns
         cfg = tiny_config(
-            n=30, reps=2, k=(2,), k_star=(10,), beta=(0.8,), k_hill=40,
-            methods=("proposed_unknown_g",),
+            n=30, reps=2, g=(3,), q=(1,), k=(2,), k_star=(10,), beta=(0.8,),
+            methods=("proposed_known_g",),
         )
         report = run_sweep(cfg)
         cell = report.points[0].cells[0]
-        assert len(cell.failures) == 2
+        assert [i for i, _ in cell.failures] == [0, 1]
         assert cell.mean_accuracy is None
+        assert cell.mean_mse is None
         assert cell.accuracies == ()
         assert parse_report(emit_report(report, "json")) == report
 
@@ -287,9 +288,7 @@ class TestReports:
         assert len(lines) - 1 == 2 * len(METHODS)
 
     def test_csv_raw_hill_rows(self):
-        report = run_sweep(
-            tiny_config(methods=("proposed_unknown_g",), include_raw_hill=True)
-        )
+        report = run_sweep(tiny_config(methods=("proposed_unknown_g", "raw_hill")))
         lines = emit_report(report, "csv").decode().strip().split("\n")
         assert len(lines) - 1 == 2
         assert lines[-1].split(",")[8] == "raw_hill"
@@ -300,17 +299,29 @@ class TestReports:
         assert json.loads(emit_report(report, "json"))["points"] == []
         assert emit_report(report, "csv").decode().strip().count("\n") == 0
 
-    def test_mean_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            MethodCell(
-                method="proposed_unknown_g",
-                accuracies=(0.5, 1.0),
-                mses=(0.1,),
-                failures=(),
-                mean_accuracy=0.9,
-                mean_mse=0.1,
-                wall_time=0.0,
-            )
+    def test_report_numbers_pinned(self):
+        # the CSV this sweep wrote before the means became derived
+        report = run_sweep(tiny_config(reps=2, methods=(*METHODS, "raw_hill")))
+        head = "EXACT_PARETO,2,2,0.5,300,4,267,0.6198501872659176"
+        assert emit_report(report, "csv").decode() == (
+            "model,g,q,delta,n,k,k_star,beta,method,reps,failures,mean_accuracy,mean_mse\n"
+            f"{head},proposed_known_g,2,0,1.0,0.03502532978477241\n"
+            f"{head},proposed_unknown_g,2,0,0.875,0.03517297686088086\n"
+            f"{head},tail_kmeans,2,0,0.25,0.09963343921055824\n"
+            f"{head},raw_hill,2,0,,0.06963543470348027\n"
+        )
+
+    def test_means_derived_from_raw_values(self):
+        cell = MethodCell(
+            method="proposed_unknown_g",
+            accuracies=(0.5, 1.0),
+            mses=(),
+            failures=((2, "ActiveSetExhausted: ..."),),
+            wall_time=0.0,
+        )
+        assert cell.mean_accuracy == 0.75
+        assert cell.mean_mse is None
+        assert "mean_accuracy" not in asdict(cell)
 
     def test_bad_format(self):
         report = run_sweep(tiny_config(reps=1))
@@ -324,11 +335,24 @@ class TestReports:
         with pytest.raises(ValidationError):
             parse_report(json.dumps(blob).encode())
 
+    def test_v1_report_rejected_by_its_schema_version(self):
+        # version 1 stored k_hill per point and the means per cell
+        report = run_sweep(tiny_config(reps=1))
+        blob = json.loads(emit_report(report, "json"))
+        blob["schema_version"] = 1
+        for pt in blob["points"]:
+            pt["k_hill"] = pt["k"]
+            for cell in pt["cells"]:
+                cell["mean_accuracy"] = cell["accuracies"][0]
+                cell["mean_mse"] = cell["mses"][0]
+        with pytest.raises(ValidationError, match="^report schema_version is not 2$"):
+            parse_report(json.dumps(blob).encode())
+
     def test_missing_field_named(self):
         report = run_sweep(tiny_config(reps=1))
         blob = json.loads(emit_report(report, "json"))
-        del blob["points"][0]["k_hill"]
-        with pytest.raises(ParseError, match=r"report\.points\[0\]\.k_hill: missing"):
+        del blob["points"][0]["k"]
+        with pytest.raises(ParseError, match=r"report\.points\[0\]\.k: missing"):
             parse_report(json.dumps(blob).encode())
 
     def test_non_object_document(self):
@@ -339,14 +363,15 @@ class TestReports:
 class TestMergeReports:
     # several sweeps make one report: run_sweep(a, b) is run_sweep(a) then run_sweep(b)
     def test_merges_points(self):
-        a = tiny_config(g=(2,))
-        b = tiny_config(g=(3,), include_raw_hill=True)
+        a = tiny_config(g=(2,), methods=(*METHODS, "raw_hill"))
+        b = replace(a, g=(3,))
         apart = [run_sweep(a), run_sweep(b)]
         for workers in (1, 2):
             merged = run_sweep(a, b, workers=workers)
             assert len(merged.points) == 2
             assert strip_times(merged) == strip_times(apart[0]) + strip_times(apart[1])
-            assert [c.method for c in merged.points[1].cells] == [*METHODS, "raw_hill"]
+            for pt in merged.points:
+                assert [c.method for c in pt.cells] == [*METHODS, "raw_hill"]
             assert replace(merged, points=(), wall_time_total=0.0) == replace(
                 apart[0], points=(), wall_time_total=0.0
             )
@@ -400,4 +425,22 @@ class TestPresets:
 
     def test_fig5_includes_raw_hill(self, bench_configs):
         (cfg,) = bench_configs("--preset", "fig5", "--reps", "2", "--seed", "1")
-        assert cfg.include_raw_hill
+        assert cfg.methods == (*METHODS, "raw_hill")
+
+    def test_fig5_report_methods_match_cells(self):
+        (cfg,) = PRESETS["fig5"]
+        report = run_sweep(replace(cfg, reps=1))
+        assert len(report.points) == 12
+        for pt in report.points:
+            assert tuple(c.method for c in pt.cells) == report.methods
+
+    def test_fig1_methods_unchanged(self):
+        (cfg,) = PRESETS["fig1"]
+        assert cfg.methods == ("proposed_known_g", "proposed_unknown_g", "tail_kmeans")
+
+    def test_presets_survive_the_config_file_codec(self):
+        # a preset written as a --config file decodes to the same sweep
+        for name, configs in PRESETS.items():
+            for i, cfg in enumerate(configs):
+                doc = json.loads(json.dumps(asdict(cfg)))
+                assert from_jsonable(SweepConfig, doc, f"{name}[{i}]") == cfg

@@ -248,6 +248,22 @@ class TestBench:
         cfg = write(tmp_path, "cfg.json", json.dumps(dict(self.CONFIG, bogus=1)))
         assert main(["bench", "--config", cfg, "--out", "b"]) == 2
 
+    @pytest.mark.parametrize("field, value", [("k_hill", 5), ("include_raw_hill", True)])
+    def test_removed_field_named(self, tmp_path, capsys, field, value):
+        cfg = write(tmp_path, "cfg.json", json.dumps({**self.CONFIG, field: value}))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 2
+        assert f"config 0: unknown fields ['{field}']" in capsys.readouterr().err
+
+    def test_raw_hill_method_runs(self, tmp_path):
+        doc = dict(self.CONFIG, methods=["proposed_known_g", "raw_hill"])
+        cfg = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 0
+        report = parse_report((tmp_path / "b.json").read_bytes())
+        assert report.methods == ("proposed_known_g", "raw_hill")
+        rows = (tmp_path / "b.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[8] for r in rows] == ["proposed_known_g", "raw_hill"]
+        assert rows[1].split(",")[11] == ""  # raw_hill has no accuracy
+
     @pytest.mark.parametrize(
         "doc, field",
         [
@@ -372,6 +388,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {path}: byte {offset} (0xff) is not valid UTF-8\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, text, row",
+        [
+            (["hill", "IN", "--k", "1"], "a,b\n1,2\r3,4\n", 2),
+            (["hill", "IN", "--k", "1"], "a,b\r1,2\n3,4\n", 1),
+            (["returns", "IN", "--output", "r.csv"], "date,a\n2020-01-01,1\n2020-01-02,2\r3\n", 3),
+        ],
+        ids=["data-body", "data-header", "price-body"],
+    )
+    def test_malformed_csv_is_parse_exit(self, tmp_path, capsys, argv, text, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert main([str(path) if a == "IN" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: row {row} is not valid CSV (")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_digit_separator_is_parse_exit(self, tmp_path, capsys):
         inp = write(tmp_path, "us.csv", "a,b\n1,2\n3,1_000\n")

@@ -147,6 +147,16 @@ class TestGroundTruth:
         assert (t.p, t.g) == (3, 2)
         assert t.column_gammas().tolist() == [1.0, 1.0, 0.5]
 
+    def test_callers_arrays_stay_writeable(self):
+        labels, gammas = np.array([1, 1, 2]), np.array([1.0, 0.5])
+        t = GroundTruth(group_of=labels, gammas=gammas)
+        assert labels.flags.writeable and gammas.flags.writeable
+        assert not t.group_of.flags.writeable and not t.gammas.flags.writeable
+        labels[0] = 2
+        gammas[0] = 9.0
+        assert t.group_of.tolist() == [1, 1, 2]
+        assert t.gammas.tolist() == [1.0, 0.5]
+
     def test_invariants(self):
         with pytest.raises(ValidationError):
             GroundTruth(group_of=[1, 2], gammas=[0.5, 1.0])  # increasing

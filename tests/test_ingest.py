@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,13 @@ class TestPriceTable:
         backwards = r"date 2 \(2019-12-31\) does not follow date 1 \(2020-01-01\)"
         with pytest.raises(ValidationError, match=backwards):
             table(["2020-01-01", "2019-12-31"], ["a"], [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("token", ["20200102", "2020-W01-4", "2020-1-02", " 2020-01-02"])
+    def test_dates_must_be_written_yyyy_mm_dd(self, token):
+        # date.fromisoformat reads each of these as a date
+        with pytest.raises(ValidationError) as exc:
+            table(["2020-01-01", token], ["a"], [[1.0], [2.0]])
+        assert str(exc.value) == f"date 2 ({token!r}) is not an ISO date (YYYY-MM-DD)"
 
     def test_read_only(self):
         t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [2.0]])
@@ -361,6 +369,27 @@ class TestCsvDialect:
         with pytest.raises(ParseError) as exc:
             read_price_csv(path)
         assert str(exc.value) == "row 3, column 'date': cannot parse '2020/01/02' as an ISO date"
+
+    @pytest.mark.parametrize("token", ["20200102", "2020-W01-4"])
+    def test_price_dates_must_be_written_yyyy_mm_dd(self, tmp_path, token):
+        path = tmp_path / "p.csv"
+        path.write_text(f"date,a\n2020-01-01,1\n{token},2\n2020-01-03,3\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_price_csv(path)
+        assert str(exc.value) == f"row 3, column 'date': cannot parse {token!r} as an ISO date"
+
+    @pytest.mark.parametrize("reader, text, row", [
+        (read_data_csv, "a,b\n1,2\r3,4\n", 2),
+        (read_data_csv, "a,b\r1,2\n3,4\n", 1),
+        (read_data_csv, "a,b\n\n1,2\n\n3,4\r5,6\n", 3),
+        (read_price_csv, "date,a\n2020-01-01,1\n2020-01-02,2\r2020-01-03,3\n", 3),
+    ], ids=["data-body", "data-header", "data-after-blank-lines", "price"])
+    def test_malformed_csv_names_file_and_row(self, tmp_path, reader, text, row):
+        # csv.Error from the csv module becomes a ParseError
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: row {row} is not valid CSV \("):
+            reader(path)
 
     def test_read_data_csv_peak_memory(self, tmp_path):
         # 3000 x 200 standard normals, an 11.8 MB file. Reading rows one at
