@@ -73,9 +73,10 @@ def _run(data: DataMatrix, params: ClusterParams) -> IterationTrace:
         # The cutoff u is the (k*|active|)-th largest pooled scaled value
         # of the active columns. A value below row k*|active| of its own
         # column has that many values above it already, so the top rows
-        # hold the cutoff.
+        # hold the cutoff. The fancy index makes the pool's one copy, and
+        # ravel(order="K") views it in its column-major order.
         rank = params.k * len(active)
-        pool = scaled[: min(data.n, rank), [j - 1 for j in active]].ravel()
+        pool = scaled[: min(data.n, rank), [j - 1 for j in active]].ravel(order="K")
         pool.partition(pool.size - rank)
         u = float(pool[pool.size - rank])
         stats = {j: float(stat_row[j - 1]) for j in active}

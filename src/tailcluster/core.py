@@ -64,19 +64,15 @@ class DimensionMismatchError(ValidationError):
     """Two inputs that must describe the same number of columns do not."""
 
 
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-D array, got ndim={arr.ndim}")
-    return arr
-
-
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x p observation matrix: rows are i.i.d. samples, columns are variables.
 
     Attributes:
         values: read-only float array of shape (n, p); every entry finite.
+            It is the matrix's own copy, stored column-major (Fortran
+            order), so each column is contiguous for the per-column
+            passes: sorting, peeling and Hill.
         column_labels: optional tuple of p distinct names for the columns.
     """
 
@@ -84,7 +80,9 @@ class DataMatrix:
     column_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _as_matrix(self.values)
+        arr = np.array(self.values, dtype=float, order="F")
+        if arr.ndim != 2:
+            raise ValidationError(f"expected a 2-D array, got ndim={arr.ndim}")
         n, p = arr.shape
         if n < 2 or p < 1:
             raise ValidationError(f"need n >= 2 rows and p >= 1 columns, got shape {arr.shape}")
@@ -103,7 +101,6 @@ class DataMatrix:
                 f"data matrix entry at row {i + 1}, column {self.label_of(j + 1)!r} "
                 f"is {float(arr[i, j])!r}; entries must be finite"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -114,12 +111,6 @@ class DataMatrix:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        """Return column j (1-based) as a read-only vector."""
-        if not 1 <= j <= self.p:
-            raise ValidationError(f"column index {j} outside 1..{self.p}")
-        return self.values[:, j - 1]
 
     def label_of(self, j: int) -> str:
         if self.column_labels is not None:

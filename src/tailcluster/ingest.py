@@ -133,13 +133,13 @@ def min_positive_count(data: DataMatrix) -> int:
     return int(np.min(np.sum(data.values > 0.0, axis=0)))
 
 
-def _parse_float(token: str, row: int, col_name: str) -> float:
+def _parse_float(token: str, source: str, row: int, col_name: str) -> float:
     if "_" not in token:
         try:
             return float(token)
         except ValueError:
             pass
-    raise ParseError(f"row {row}, column {col_name!r}: cannot parse {token!r} as a number")
+    raise ParseError(f"{source}: row {row}, column {col_name!r}: cannot parse {token!r} as a number")
 
 
 def _lines(text: str):
@@ -223,12 +223,12 @@ def read_text(path) -> str:
         ) from None
 
 
-def _data_cells(row: list[str], i: int, header: list[str]) -> list[float]:
+def _data_cells(row: list[str], i: int, header: list[str], source: str) -> list[float]:
     cells = []
     for name, token in zip(header, row):
-        value = _parse_float(token.strip(), i, name)
+        value = _parse_float(token.strip(), source, i, name)
         if not math.isfinite(value):
-            raise ParseError(f"row {i}, column {name!r}: non-finite value {token!r}")
+            raise ParseError(f"{source}: row {i}, column {name!r}: non-finite value {token!r}")
         cells.append(value)
     return cells
 
@@ -239,7 +239,7 @@ def read_data_csv(path) -> DataMatrix:
     cells = array("d")
     for i, row, fast in body:
         parsed = _float_map(row) if fast else None
-        cells.extend(_data_cells(row, i, header) if parsed is None else parsed)
+        cells.extend(_data_cells(row, i, header, str(path)) if parsed is None else parsed)
     if not cells:
         raise ParseError(f"{path}: no data rows")
     values = np.frombuffer(cells).reshape(-1, len(header))
@@ -256,16 +256,16 @@ def write_data_csv(data: DataMatrix, path) -> None:
         fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in data.values)
 
 
-def _price_cells(row: list[str], i: int, header: list[str]) -> list[float]:
+def _price_cells(row: list[str], i: int, header: list[str], source: str) -> list[float]:
     cells = []
     for name, token in zip(header[1:], row[1:]):
         token = token.strip()
         if token.lower() in _MISSING_TOKENS:
             cells.append(math.nan)
             continue
-        value = _parse_float(token, i, name)
+        value = _parse_float(token, source, i, name)
         if not math.isfinite(value):
-            raise ParseError(f"row {i}, column {name!r}: non-finite price {token!r}")
+            raise ParseError(f"{source}: row {i}, column {name!r}: non-finite price {token!r}")
         cells.append(value)
     return cells
 
@@ -284,11 +284,13 @@ def read_price_csv(path) -> PriceTable:
     for i, row, fast in body:
         day = row[0].strip()
         if _iso_date(day) is None:
-            raise ParseError(f"row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date")
+            raise ParseError(
+                f"{path}: row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
+            )
         dates.append(day)
         # a missing token (NA, NaN, ...) fails the map or reads as NaN
         parsed = _float_map(row[1:]) if fast else None
-        cells.extend(_price_cells(row, i, header) if parsed is None else parsed)
+        cells.extend(_price_cells(row, i, header, str(path)) if parsed is None else parsed)
     if not dates:
         raise ParseError(f"{path}: no data rows")
     prices = np.frombuffer(cells).reshape(-1, len(header) - 1)

@@ -7,7 +7,8 @@ are kept as duplicate values; no jittering.
 
 A scaled dataset has one representation: the n x p array returned by
 self_scale, each column sorted descending and divided by its own
-(k_star+1)-th largest value. Row m of it is the (m+1)-th largest scaled
+(k_star+1)-th largest value. Like DataMatrix.values it is column-major,
+so each column is contiguous. Row m of it is the (m+1)-th largest scaled
 value of every column, so every statistic the clustering reads (the
 pooled cutoff and each column's high quantile) is a row lookup or a
 selection over its top rows.

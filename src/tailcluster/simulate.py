@@ -138,7 +138,7 @@ def generate(spec: SimModelSpec) -> tuple[DataMatrix, GroundTruth]:
         base = sample_mv_cauchy(build_scale_matrix(spec.model, p), n, rng)
         u = np.asarray(cauchy_cdf(base))
     u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
-    x = np.empty((n, p))
+    x = np.empty((n, p), order="F")
     for gamma in np.unique(col_gammas):
         cols = col_gammas == gamma
         if spec.model == "A":

@@ -358,7 +358,9 @@ class TestReturns:
             "2020-01-03,1.2,2.2\n2020-01-04,1.3,2.3\n"
         ))
         assert main(["returns", inp, "--output", "ret.csv"]) == 2
-        assert "row 3, column 'b': non-finite price 'infinity'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {inp}: row 3, column 'b': non-finite price 'infinity'\n"
+        )
         assert not (tmp_path / "ret.csv").exists()
 
 
@@ -409,7 +411,7 @@ class TestExitCodes:
         inp = write(tmp_path, "us.csv", "a,b\n1,2\n3,1_000\n")
         assert main(["hill", inp, "--k", "1"]) == 2
         assert capsys.readouterr().err == (
-            "error: row 3, column 'b': cannot parse '1_000' as a number\n"
+            f"error: {inp}: row 3, column 'b': cannot parse '1_000' as a number\n"
         )
 
     def test_bad_params_is_validation_exit(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the iterative threshold clustering procedures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tailcluster.core import (
     ValidationError,
     default_params,
 )
+from tailcluster.hill import hill_gammas
 from tailcluster.simulate import MODELS, SimModelSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -367,3 +369,33 @@ class TestTrace:
 
     def test_len(self):
         assert len(IterationTrace(steps=())) == 0
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_c_and_f_input_agree(self, model):
+        data, _ = generate(SimModelSpec(model=model, g=3, q=4, delta=0.5, n=400, seed=5))
+        params = default_params(data.p, data.n)
+        runs = []
+        for values in (np.ascontiguousarray(data.values), np.asfortranarray(data.values)):
+            m = DataMatrix(values=values)
+            part, trace = cluster_unknown_g(m, params)
+            known, _ = cluster_known_g(m, params.with_known_g(2))
+            runs.append((part, trace_tuples(trace), known, hill_gammas(m, params.k).tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_peel_peak_memory(self):
+        # k * p >= n, so the first pool is the whole sorted block: the peel
+        # holds the block and one pool copy, not a second copy of the pool
+        data, _ = generate(
+            SimModelSpec(model="EXACT_PARETO", g=4, q=500, delta=0.5, n=400, seed=3)
+        )
+        params = default_params(data.p, data.n)
+        assert params.k * data.p >= data.n
+        tracemalloc.start()
+        try:
+            cluster_unknown_g(data, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * data.values.nbytes

@@ -47,8 +47,8 @@ class TestDataMatrix:
     def test_shape_and_accessors(self):
         m = DataMatrix(values=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert (m.n, m.p) == (3, 2)
-        assert m.column(1).tolist() == [1.0, 3.0, 5.0]
-        assert m.column(2).tolist() == [2.0, 4.0, 6.0]
+        assert m.values[:, 0].tolist() == [1.0, 3.0, 5.0]
+        assert m.values[:, 1].tolist() == [2.0, 4.0, 6.0]
         assert m.label_of(1) == "V1"
 
     def test_labels(self):
@@ -79,6 +79,20 @@ class TestDataMatrix:
         with pytest.raises(ValidationError, match=r"row 3, column 'V1' is nan"):
             DataMatrix(values=[[1.0, 2.0], [3.0, 4.0], [float("nan"), 6.0]])
 
+    @pytest.mark.parametrize("values", [
+        np.arange(12.0).reshape(4, 3),
+        np.asfortranarray(np.arange(12.0).reshape(4, 3)),
+        np.arange(24.0).reshape(4, 6)[:, ::2],
+        np.arange(12).reshape(4, 3),
+    ], ids=["c-order", "f-order", "strided-view", "integer"])
+    def test_values_column_major_copy(self, values):
+        m = DataMatrix(values=values)
+        assert m.values.flags.f_contiguous
+        assert not m.values.flags.writeable
+        assert m.values.dtype == np.float64
+        assert not np.shares_memory(m.values, values)
+        assert m.values.tolist() == values.tolist()
+
     def test_values_read_only_and_copied(self):
         src = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = DataMatrix(values=src)
@@ -87,12 +101,6 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 7.0
 
-    def test_column_index_range(self):
-        m = DataMatrix(values=[[1.0], [2.0]])
-        with pytest.raises(ValidationError):
-            m.column(0)
-        with pytest.raises(ValidationError):
-            m.column(2)
 
 
 class TestTailPartition:

@@ -375,7 +375,7 @@ class TestHillGammas:
         # the single-column hill is the reference any faster pass must match
         data, _ = generate(SimModelSpec(model=model, g=3, q=3, delta=0.5, n=300, seed=17))
         for k in (1, 2, 9, 50, 299):
-            ref = np.array([hill(data.column(j), k).gamma_hat for j in range(1, data.p + 1)])
+            ref = np.array([hill(data.values[:, j - 1], k).gamma_hat for j in range(1, data.p + 1)])
             # compare bit patterns, so that -0.0 against 0.0 fails too
             np.testing.assert_array_equal(hill_gammas(data, k).view(np.int64), ref.view(np.int64))
 
@@ -449,7 +449,7 @@ class TestEstimateGroupIndices:
         part = TailPartition(groups=((1,), (2,), (3,)))
         _, per_col = estimate_group_indices(three_column_data, part, k_hill=2)
         raw = [
-            hill(three_column_data.column(j), 2).gamma_hat for j in (1, 2, 3)
+            hill(three_column_data.values[:, j - 1], 2).gamma_hat for j in (1, 2, 3)
         ]
         assert per_col == pytest.approx(raw, abs=1e-12)
 
@@ -467,7 +467,7 @@ class TestEstimateGroupIndices:
         data = DataMatrix(values=values)
         part = TailPartition(groups=((1, 4), (2, 3, 5)))
         group_gammas, per_col = estimate_group_indices(data, part, k_hill=8)
-        raw = np.array([hill(data.column(j), 8).gamma_hat for j in range(1, 6)])
+        raw = np.array([hill(data.values[:, j - 1], 8).gamma_hat for j in range(1, 6)])
         for gi, grp in enumerate(part.groups):
             members = raw[[j - 1 for j in grp]]
             assert members.min() - 1e-12 <= group_gammas[gi] <= members.max() + 1e-12

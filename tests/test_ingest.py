@@ -146,6 +146,7 @@ class TestLossReturnValues:
         )
         data = returns(t)
         assert isinstance(data, DataMatrix)
+        assert data.values.flags.f_contiguous and not data.values.flags.writeable
         assert data.column_labels == ("a", "b")
         expected = np.array([[-math.log(2.0), -math.log(4.0)],
                              [-math.log(2.0), -math.log(4.0)]])
@@ -170,6 +171,7 @@ class TestDataCsv:
         back = read_data_csv(path)
         assert back.column_labels == data.column_labels
         assert np.array_equal(back.values, data.values)
+        assert back.values.flags.f_contiguous and not back.values.flags.writeable
 
     def test_parse_error_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -180,8 +182,9 @@ class TestDataCsv:
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("a\n1\ninf\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="non-finite"):
+        with pytest.raises(ParseError) as exc:
             read_data_csv(path)
+        assert str(exc.value) == f"{path}: row 3, column 'a': non-finite value 'inf'"
 
     def test_structural_errors(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -253,7 +256,7 @@ class TestPriceCsv:
         )
         with pytest.raises(ParseError) as exc:
             read_price_csv(path)
-        assert str(exc.value) == f"row 4, column 'eur': non-finite price {token!r}"
+        assert str(exc.value) == f"{path}: row 4, column 'eur': non-finite price {token!r}"
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
@@ -304,7 +307,7 @@ class TestCsvDialect:
         path.write_text("a,b\n\n1,2\n\n\n3,4\n\n5,x\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             read_data_csv(path)
-        assert str(exc.value) == "row 4, column 'b': cannot parse 'x' as a number"
+        assert str(exc.value) == f"{path}: row 4, column 'b': cannot parse 'x' as a number"
 
     def test_price_row_mixing_missing_tokens_and_numbers(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -332,7 +335,7 @@ class TestCsvDialect:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             reader(path)
-        assert str(exc.value) == "row 3, column 'b': cannot parse 'x' as a number"
+        assert str(exc.value) == f"{path}: row 3, column 'b': cannot parse 'x' as a number"
 
     @pytest.mark.parametrize("reader, text", [
         (read_data_csv, "a_1,b\n1,2\n3,1_000\n"),
@@ -343,7 +346,7 @@ class TestCsvDialect:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             reader(path)
-        assert str(exc.value) == "row 3, column 'b': cannot parse '1_000' as a number"
+        assert str(exc.value) == f"{path}: row 3, column 'b': cannot parse '1_000' as a number"
 
     def test_underscore_in_header_keeps_rows_on_the_float_map(self, tmp_path, monkeypatch):
         calls = []
@@ -368,7 +371,9 @@ class TestCsvDialect:
         path.write_bytes(bom + b"date,a\n2020-01-01,1\n2020/01/02,2\n")
         with pytest.raises(ParseError) as exc:
             read_price_csv(path)
-        assert str(exc.value) == "row 3, column 'date': cannot parse '2020/01/02' as an ISO date"
+        assert str(exc.value) == (
+            f"{path}: row 3, column 'date': cannot parse '2020/01/02' as an ISO date"
+        )
 
     @pytest.mark.parametrize("token", ["20200102", "2020-W01-4"])
     def test_price_dates_must_be_written_yyyy_mm_dd(self, tmp_path, token):
@@ -376,7 +381,9 @@ class TestCsvDialect:
         path.write_text(f"date,a\n2020-01-01,1\n{token},2\n2020-01-03,3\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             read_price_csv(path)
-        assert str(exc.value) == f"row 3, column 'date': cannot parse {token!r} as an ISO date"
+        assert str(exc.value) == (
+            f"{path}: row 3, column 'date': cannot parse {token!r} as an ISO date"
+        )
 
     @pytest.mark.parametrize("reader, text, row", [
         (read_data_csv, "a,b\n1,2\r3,4\n", 2),
