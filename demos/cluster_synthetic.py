@@ -20,9 +20,10 @@ from tailcluster import (
     accuracy,
     cluster_known_g,
     cluster_unknown_g,
-    default_params,
-    estimate_group_indices,
     generate,
+    group_means,
+    hill_gammas,
+    resolve_params,
 )
 
 spec = SimModelSpec(model="A", g=3, q=5, delta=0.5, n=2000, seed=42)
@@ -38,7 +39,7 @@ print(f"true tail indices per group: {truth.gammas.tolist()}")
 # k tail observations per column feed the pooled threshold, the
 # (k*+1)-th largest value scales each column, beta sets how many of a
 # column's top values must clear the threshold to join a group.
-params = default_params(p=data.p, n0=data.n)
+params, _ = resolve_params(p=data.p, n0=data.n)
 print(f"defaults: k={params.k}, k*={params.k_star}, beta={params.beta:.4f}")
 
 # %%
@@ -67,6 +68,6 @@ print(f"accuracy: {accuracy(truth, auto_partition):.3f}")
 # ------------------------
 # Averaging per-column Hill estimates within each recovered group
 # sharpens the individual estimates.
-group_gammas, per_column = estimate_group_indices(data, auto_partition, params.k)
+group_gammas, per_column = group_means(hill_gammas(data, params.k), auto_partition)
 print(f"estimated group indices: {np.round(group_gammas, 3).tolist()}")
 print(f"true group indices:      {truth.gammas.tolist()}")

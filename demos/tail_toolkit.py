@@ -13,18 +13,19 @@ helpers used by the simulators.
 # --------------
 # For a column with exactly Pareto tails, gamma_hat is the average
 # log-ratio of the top k order statistics to the (k+1)-th largest.
+# Hill works on whole matrices, so one column is a one-column matrix.
 import numpy as np
 
-from tailcluster import DataMatrix, hill, hill_ci, kmeans_1d_exact, tail_kmeans
+from tailcluster import DataMatrix, hill_bands, hill_gammas, kmeans_1d_exact, tail_kmeans
 from tailcluster.distributions import frechet_quantile, student_t_cdf, student_t_quantile
 
 rng = np.random.default_rng(7)
 pareto = rng.uniform(size=5000) ** -0.5  # tail index 0.5
-est = hill(pareto, k=200)
-print(f"Hill estimate: {est.gamma_hat:.3f} from k={est.k_used} top values (true 0.5)")
+gammas = hill_gammas(DataMatrix(pareto[:, None]), 200)
+print(f"Hill estimate: {gammas[0]:.3f} from k=200 top values (true 0.5)")
 
-banded = hill_ci(est, level=0.95)
-print(f"95% band: [{banded.ci_low:.3f}, {banded.ci_high:.3f}]")
+low, high = hill_bands(gammas, 200, level=0.95)
+print(f"95% band: [{low[0]:.3f}, {high[0]:.3f}]")
 
 # %%
 # Exact 1-D k-means

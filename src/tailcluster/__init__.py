@@ -11,13 +11,11 @@ from .core import (
     TailPartition,
     ValidationError,
     accuracy,
-    default_params,
     mse,
     resolve_params,
     truth_from_design,
 )
-from .hill import (HillEstimate, estimate_group_indices, group_means, hill, hill_ci, hill_gammas,
-                   kmeans_1d_exact, tail_kmeans)
+from .hill import estimate_group_indices, group_means, hill_bands, hill_gammas, kmeans_1d_exact, tail_kmeans
 from .simulate import MODELS, SimModelSpec, generate
 
 __version__ = "0.1.0"

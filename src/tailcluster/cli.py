@@ -36,7 +36,7 @@ from .core import (
     from_jsonable,
     resolve_params,
 )
-from .hill import HillEstimate, group_means, hill_gammas, hill_ci
+from .hill import group_means, hill_bands, hill_gammas
 from .ingest import min_positive_count, read_data_csv, read_price_csv, read_text, returns, write_data_csv
 from .simulate import MODELS, SimModelSpec, generate
 
@@ -55,8 +55,12 @@ def _load_matrix(path: str, prices: bool) -> DataMatrix:
     return read_data_csv(path)
 
 
-def _bands(gammas: np.ndarray, k: int, level: float) -> list[HillEstimate]:
-    return [hill_ci(HillEstimate(gamma_hat=float(v), k_used=k), level) for v in gammas]
+def _bands(gammas: np.ndarray, k: int, level: float) -> list[dict]:
+    low, high = hill_bands(gammas, k, level)
+    return [
+        {"gamma_hat": v, "k_used": k, "ci_low": lo, "ci_high": hi, "ci_method": "asymptotic_normal"}
+        for v, lo, hi in zip(gammas.tolist(), low.tolist(), high.tolist())
+    ]
 
 
 def _column_payload(data: DataMatrix, partition: TailPartition, k_hill: int, level: float):
@@ -68,9 +72,9 @@ def _column_payload(data: DataMatrix, partition: TailPartition, k_hill: int, lev
             "label": data.label_of(j),
             "group": int(labels[j - 1]),
             "group_gamma": float(per_col[j - 1]),
-            "hill": asdict(est),
+            "hill": band,
         }
-        for j, est in enumerate(_bands(gammas, k_hill, level), start=1)
+        for j, band in enumerate(_bands(gammas, k_hill, level), start=1)
     ]
     return [float(v) for v in group_gammas], columns
 
@@ -136,13 +140,13 @@ def cmd_hill(args) -> int:
     else:
         params, _ = resolve_params(data.p, min_positive_count(data))
         k = params.k
-    estimates = _bands(hill_gammas(data, k), k, args.ci)
+    bands = _bands(hill_gammas(data, k), k, args.ci)
     if args.format == "csv":
         lines = ["label,gamma_hat,k_used,ci_low,ci_high"]
-        for j, est in enumerate(estimates, start=1):
+        for j, band in enumerate(bands, start=1):
             lines.append(
-                f"{data.label_of(j)},{est.gamma_hat!r},{est.k_used},"
-                f"{est.ci_low!r},{est.ci_high!r}"
+                f"{data.label_of(j)},{band['gamma_hat']!r},{band['k_used']},"
+                f"{band['ci_low']!r},{band['ci_high']!r}"
             )
         _emit("\n".join(lines), args.output)
         return 0
@@ -151,8 +155,8 @@ def cmd_hill(args) -> int:
         "k": k,
         "level": args.ci,
         "columns": [
-            {"label": data.label_of(j), **asdict(est)}
-            for j, est in enumerate(estimates, start=1)
+            {"label": data.label_of(j), **band}
+            for j, band in enumerate(bands, start=1)
         ],
     }
     _emit(json.dumps(payload, indent=2), args.output)

@@ -79,6 +79,7 @@ def _run(data: DataMatrix, params: ClusterParams) -> IterationTrace:
         pool = scaled[: min(data.n, rank), [j - 1 for j in active]].ravel(order="K")
         pool.partition(pool.size - rank)
         u = float(pool[pool.size - rank])
+        del pool  # free this step's copy before the next step builds its own
         stats = {j: float(stat_row[j - 1]) for j in active}
         # >= keeps ties: a column exactly at the cutoff joins the heavier
         # group. For beta < 1 the group is never empty: some column owns

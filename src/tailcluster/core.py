@@ -35,7 +35,6 @@ __all__ = [
     "TailPartition",
     "ClusterParams",
     "GroundTruth",
-    "default_params",
     "resolve_params",
     "accuracy",
     "mse",
@@ -257,33 +256,6 @@ class GroundTruth:
         return self.gammas[self.group_of - 1]
 
 
-def default_params(p: int, n0: int) -> ClusterParams:
-    """Dimension-driven default tuning parameters.
-
-    Uses natural logarithms:
-
-        k      = floor(3 * ln(p)^1.05), at least 1
-        k_star = floor(n0 ** 0.98)
-        beta   = min(2 * (k / k_star) * p + 0.5, 0.9)
-
-    where ``n0`` is the effective sample size for scaling (the full n for
-    all-positive data, otherwise the minimum per-column count of positive
-    observations).
-
-    Args:
-        p: number of columns, >= 2.
-        n0: effective positive-sample size, >= 4.
-
-    Returns:
-        A validated ClusterParams with known_g unset.
-
-    Raises:
-        ValidationError: when the computed values violate the parameter
-            invariants (the offending constraint is named in the message).
-    """
-    return resolve_params(p, n0)[0]
-
-
 def resolve_params(
     p: int,
     n0: int,
@@ -291,18 +263,26 @@ def resolve_params(
     k_star: int | None = None,
     beta: float | None = None,
 ) -> tuple[ClusterParams, tuple[str, ...]]:
-    """Fill the unset tuning parameters from the default formulas.
+    """Fill the unset tuning parameters from the dimension-driven defaults.
 
-    Explicit values win; a missing k or k_star comes from the formulas
-    of default_params, and a missing beta is computed from the effective
-    k and k_star so overrides stay mutually consistent.
+    Explicit values win. The defaults use natural logarithms:
+
+        k      = floor(3 * ln(p)^1.05), at least 1
+        k_star = floor(n0 ** 0.98)
+        beta   = min(2 * (k / k_star) * p + 0.5, 0.9)
+
+    where ``n0`` is the effective sample size for scaling (the full n for
+    all-positive data, otherwise the minimum per-column count of positive
+    observations). A missing beta is computed from the effective k and
+    k_star, so overrides stay mutually consistent.
 
     Returns:
-        (params, defaults_used) where defaults_used names the fields
-        that were filled by formula.
+        (params, defaults_used): a validated ClusterParams with known_g
+        unset, and the names of the fields that were filled by formula.
 
     Raises:
-        ValidationError: as default_params, or for invalid overrides.
+        ValidationError: p < 2 or n0 < 4 while k or k_star is unset, or a
+            violated parameter invariant (named in the message).
     """
     filled = []
     if k is None or k_star is None:

@@ -1,5 +1,7 @@
 """Hill estimation, the tail k-means baseline, and group-level aggregation.
 
+Hill is one array API: `hill_gammas` gives the estimates, `hill_bands` their bands.
+
 The baseline clusters per-column Hill estimates with an exact 1-D
 k-means (dynamic programming over the sorted values, which is globally
 optimal because optimal 1-D clusters are contiguous) instead of Lloyd's
@@ -11,7 +13,6 @@ DP runs in O(g*p^2) vectorised time and O(p*block) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -22,10 +23,8 @@ _BLOCK = 64  # right ends per DP cost block: temporaries are O(p * _BLOCK), not 
 
 __all__ = [
     "NonpositiveOrderStat",
-    "HillEstimate",
-    "hill",
-    "hill_ci",
     "hill_gammas",
+    "hill_bands",
     "group_means",
     "kmeans_1d_exact",
     "tail_kmeans",
@@ -46,30 +45,6 @@ class NonpositiveOrderStat(ValidationError):
         )
 
 
-@dataclass(frozen=True)
-class HillEstimate:
-    """A tail-index estimate with an optional confidence band."""
-
-    gamma_hat: float
-    k_used: int
-    ci_low: float | None = None
-    ci_high: float | None = None
-    ci_method: str | None = None
-
-    def __post_init__(self):
-        if self.gamma_hat < 0.0 or not math.isfinite(self.gamma_hat):
-            raise ValidationError(f"gamma_hat must be finite and >= 0, got {self.gamma_hat}")
-        if self.k_used < 1:
-            raise ValidationError(f"k_used must be >= 1, got {self.k_used}")
-        band = (self.ci_low, self.ci_high)
-        if (band[0] is None) != (band[1] is None):
-            raise ValidationError("ci_low and ci_high must be set together")
-        if band[0] is not None and not band[0] <= self.gamma_hat <= band[1]:
-            raise ValidationError(
-                f"confidence band [{band[0]}, {band[1]}] must bracket {self.gamma_hat}"
-            )
-
-
 def _gamma(arr: np.ndarray, k: int, column=None) -> float:
     """The Hill kernel on a 1-d float vector whose k is already checked."""
     n = arr.size
@@ -79,46 +54,8 @@ def _gamma(arr: np.ndarray, k: int, column=None) -> float:
         raise NonpositiveOrderStat(base, column)
     top = part[n - k:]
     gamma = float(np.mean(np.log(top)) - math.log(base))
-    # exact-tie columns can produce -0.0 or tiny negative rounding noise
+    # equal floats subtract to +0.0: this clamps only tiny negative rounding noise
     return max(gamma, 0.0)
-
-
-def hill(column, k: int) -> HillEstimate:
-    """Hill estimator from the top k+1 order statistics of a vector.
-
-    gamma_hat = (1/k) * sum_{i=0}^{k-1} [log X_{(i+1)-th largest}
-    - log X_{(k+1)-th largest}].
-
-    Args:
-        column: 1-d vector, length n >= 2.
-        k: number of top log-ratios averaged, 1 <= k <= n-1; all of the
-            top k+1 values must be strictly positive.
-
-    Raises:
-        NonpositiveOrderStat: the (k+1)-th largest value is <= 0.
-    """
-    arr = np.asarray(column, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError("column must be a 1-d vector of length >= 2")
-    if not 1 <= k <= arr.size - 1:
-        raise ValidationError(f"k={k} out of range [1, {arr.size - 1}]")
-    return HillEstimate(gamma_hat=_gamma(arr, k), k_used=k)
-
-
-def hill_ci(estimate: HillEstimate, level: float) -> HillEstimate:
-    """Attach an asymptotic-normal confidence band to a Hill estimate.
-
-    The band is gamma_hat * (1 +- z_{(1+level)/2} / sqrt(k)), clipped
-    below at 0; it uses the standard asymptotic variance gamma^2 / k.
-    The construction is recorded in the ci_method field.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    half = z / math.sqrt(estimate.k_used)
-    lo = max(estimate.gamma_hat * (1.0 - half), 0.0)
-    hi = estimate.gamma_hat * (1.0 + half)
-    return replace(estimate, ci_low=lo, ci_high=hi, ci_method="asymptotic_normal")
 
 
 def kmeans_1d_exact(values, g: int) -> list[tuple[int, ...]]:
@@ -182,7 +119,10 @@ def kmeans_1d_exact(values, g: int) -> list[tuple[int, ...]]:
 
 
 def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
-    """`hill(column, k).gamma_hat` of every column: the one per-column Hill pass.
+    """Hill estimates of every column from its top k+1 order statistics.
+
+    gamma_hat = (1/k) * sum_{i=0}^{k-1} [log X_{(i+1)-th largest}
+    - log X_{(k+1)-th largest}], clipped below at 0, for 1 <= k <= n-1.
 
     Raises:
         NonpositiveOrderStat: some column's (k+1)-th largest value is
@@ -193,6 +133,23 @@ def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
     return np.array(
         [_gamma(data.values[:, j], k, data.label_of(j + 1)) for j in range(data.p)], dtype=float
     )
+
+
+def hill_bands(gammas: np.ndarray, k: int, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Asymptotic-normal confidence bands (low, high) of the Hill estimates at k.
+
+    Each band is gamma_hat * (1 +- z_{(1+level)/2} / sqrt(k)), clipped
+    below at +0.0; it uses the standard asymptotic variance gamma^2 / k.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    half = z / math.sqrt(k)
+    low = gammas * (1.0 - half)
+    # a zero estimate times a negative factor is -0.0; where() yields +0.0
+    return np.where(low > 0.0, low, 0.0), gammas * (1.0 + half)
 
 
 def group_means(gammas: np.ndarray, partition: TailPartition) -> tuple[np.ndarray, np.ndarray]:

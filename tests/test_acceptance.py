@@ -22,7 +22,6 @@ from tailcluster import (
     SimModelSpec,
     cluster_known_g,
     cluster_unknown_g,
-    default_params,
     generate,
     resolve_params,
 )
@@ -33,7 +32,6 @@ from tailcluster.distributions import (
     student_t_cdf,
     student_t_quantile,
 )
-from tailcluster.hill import hill
 from tailcluster.ingest import min_positive_count, read_price_csv, returns
 from tailcluster.simulate import MODELS, build_scale_matrix
 
@@ -377,7 +375,7 @@ def test_criterion_11_default_parameter_arithmetic():
     k = oracle_default_k(21)
     k_star = oracle_default_k_star(2000)
     beta = oracle_default_beta(k, k_star, 21)
-    params = default_params(p=21, n0=2000)
+    params = resolve_params(p=21, n0=2000)[0]
     ok = (
         params.k == k == 9
         and params.k_star == k_star == 1717

@@ -25,8 +25,8 @@ from tailcluster.core import (
     ClusterParams,
     ParseError,
     ValidationError,
-    default_params,
     from_jsonable,
+    resolve_params,
 )
 from tailcluster.simulate import SimModelSpec
 
@@ -81,7 +81,7 @@ class TestRunReplication:
     def test_consistency_regime_accuracy(self):
         # two well-separated exact-Pareto groups at n=2000: a clean sweep
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=5, delta=0.5, n=2000, seed=7)
-        params = default_params(spec.p, spec.n)
+        params = resolve_params(spec.p, spec.n)[0]
         out = run_replication(spec, params)
         assert out["proposed_unknown_g"].accuracy == 1.0
         assert out["proposed_known_g"].accuracy == 1.0
@@ -89,7 +89,7 @@ class TestRunReplication:
 
     def test_g_one_known_g_is_always_right(self):
         spec = SimModelSpec(model="A", g=1, q=4, delta=0.5, n=200, seed=3)
-        params = default_params(spec.p, spec.n)
+        params = resolve_params(spec.p, spec.n)[0]
         out = run_replication(spec, params, methods=("proposed_known_g",))
         assert out["proposed_known_g"].accuracy == 1.0
 
@@ -114,7 +114,7 @@ class TestRunReplication:
 
         monkeypatch.setattr(cluster_module, "self_scale", counting)
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=3, delta=0.5, n=300, seed=4)
-        out = run_replication(spec, default_params(spec.p, spec.n))
+        out = run_replication(spec, resolve_params(spec.p, spec.n)[0])
         assert len(calls) == 1
         assert all(out[m].error is None for m in METHODS)
 
@@ -133,7 +133,7 @@ class TestRunReplication:
     @pytest.mark.parametrize("with_raw_hill", [False, True])
     def test_one_hill_pass_serves_every_method(self, hill_calls, with_raw_hill):
         spec = SimModelSpec(model="A", g=3, q=5, delta=0.5, n=400, seed=6)
-        params = default_params(spec.p, spec.n)
+        params = resolve_params(spec.p, spec.n)[0]
         methods = (*METHODS, "raw_hill") if with_raw_hill else METHODS
         out = run_replication(spec, params, methods)
         assert hill_calls == [params.k]
@@ -152,7 +152,7 @@ class TestRunReplication:
 
     def test_raw_hill_extra(self):
         spec = SimModelSpec(model="EXACT_PARETO", g=2, q=2, delta=0.5, n=200, seed=5)
-        params = default_params(spec.p, spec.n)
+        params = resolve_params(spec.p, spec.n)[0]
         out = run_replication(spec, params, methods=("raw_hill",))
         assert list(out) == ["raw_hill"]
         assert out["raw_hill"].mse is not None
@@ -249,7 +249,7 @@ class TestRunSweep:
     def test_defaults_recorded(self):
         report = run_sweep(tiny_config(reps=1))
         pt = report.points[0]
-        want = default_params(4, 300)
+        want = resolve_params(4, 300)[0]
         assert (pt.k, pt.k_star, pt.beta) == (want.k, want.k_star, want.beta)
         assert pt.defaults_used == ("k", "k_star", "beta")
 

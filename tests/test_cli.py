@@ -152,6 +152,7 @@ class TestHill:
         assert col["gamma_hat"] == pytest.approx(1.5, abs=1e-12)
         assert col["k_used"] == 2
         assert col["ci_low"] < 1.5 < col["ci_high"]
+        assert col["ci_method"] == "asymptotic_normal"
 
     def test_csv_format(self, tmp_path, capsys):
         rows = "\n".join(["x", repr(math.e ** 2), repr(math.e), "1.0"])
@@ -163,6 +164,16 @@ class TestHill:
         fields = out[1].split(",")
         assert fields[0] == "x"
         assert float(fields[1]) == pytest.approx(1.5, abs=1e-12)
+
+    def test_zero_estimate_band_is_positive_zero(self, tmp_path, capsys):
+        # column a ties at its top three values, so its estimate is 0; at
+        # k=2 the band's factor 1 - z/sqrt(2) is negative
+        inp = write(tmp_path, "tie.csv", "a,b\n1,5\n3,3\n3,3\n3,3\n2,1\n0.5,2\n")
+        assert main(["hill", inp, "--k", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "a,0.0,2,0.0,0.0"
+        assert main(["hill", inp, "--k", "2"]) == 0
+        (col, _) = json.loads(capsys.readouterr().out)["columns"]
+        assert col["ci_low"] == 0.0 and math.copysign(1.0, col["ci_low"]) == 1.0
 
     def test_byte_order_mark_not_in_label(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"

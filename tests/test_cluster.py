@@ -20,7 +20,7 @@ from tailcluster.core import (
     DataMatrix,
     TailPartition,
     ValidationError,
-    default_params,
+    resolve_params,
 )
 from tailcluster.hill import hill_gammas
 from tailcluster.simulate import MODELS, SimModelSpec, generate
@@ -150,7 +150,7 @@ class TestClusterKnownG:
             for seed, (g_true, q, n) in enumerate([(3, 2, 60), (2, 4, 120), (4, 2, 200)]):
                 spec = SimModelSpec(model=model, g=g_true, q=q, delta=0.5, n=n, seed=seed)
                 data, _ = generate(spec)
-                cases.append((data, default_params(data.p, n)))
+                cases.append((data, resolve_params(data.p, n)[0]))
         for case, (data, base) in enumerate(cases):
             for g in range(1, data.p + 1):
                 ref, ref_steps = reference_cluster(
@@ -375,7 +375,7 @@ class TestMemoryLayout:
     @pytest.mark.parametrize("model", MODELS)
     def test_c_and_f_input_agree(self, model):
         data, _ = generate(SimModelSpec(model=model, g=3, q=4, delta=0.5, n=400, seed=5))
-        params = default_params(data.p, data.n)
+        params = resolve_params(data.p, data.n)[0]
         runs = []
         for values in (np.ascontiguousarray(data.values), np.asfortranarray(data.values)):
             m = DataMatrix(values=values)
@@ -390,7 +390,7 @@ class TestMemoryLayout:
         data, _ = generate(
             SimModelSpec(model="EXACT_PARETO", g=4, q=500, delta=0.5, n=400, seed=3)
         )
-        params = default_params(data.p, data.n)
+        params = resolve_params(data.p, data.n)[0]
         assert params.k * data.p >= data.n
         tracemalloc.start()
         try:

@@ -16,7 +16,6 @@ from tailcluster.core import (
     TailPartition,
     ValidationError,
     accuracy,
-    default_params,
     mse,
     resolve_params,
     truth_from_design,
@@ -180,29 +179,29 @@ class TestDefaultParams:
     def test_k_formula(self):
         # floor(3 * ln(21)^1.05) = floor(9.656...) = 9
         assert default_k_oracle(21) == 9
-        assert default_params(21, 5014).k == 9
+        assert resolve_params(21, 5014)[0].k == 9
 
     def test_k_star_formula(self):
         # floor(2000^0.98) = floor(1717.9...) = 1717
         assert default_k_star_oracle(2000) == 1717
-        assert default_params(21, 2000).k_star == 1717
+        assert resolve_params(21, 2000)[0].k_star == 1717
 
     def test_beta_formula(self):
-        got = default_params(21, 2000)
+        got = resolve_params(21, 2000)[0]
         assert got.beta == pytest.approx(beta_oracle(9, 1717, 21), abs=1e-15)
         assert f"{got.beta:.4f}" == "0.7202"
 
     def test_domain(self):
-        with pytest.raises(ValidationError):
-            default_params(1, 2000)
-        with pytest.raises(ValidationError):
-            default_params(21, 3)
+        with pytest.raises(ValidationError, match="p must be >= 2"):
+            resolve_params(1, 2000)
+        with pytest.raises(ValidationError, match="n0 must be >= 4"):
+            resolve_params(21, 3)
 
     @given(p=st.integers(2, 5000), n0=st.integers(4, 10**7))
     @settings(max_examples=200)
     def test_output_valid_or_error(self, p, n0):
         try:
-            params = default_params(p, n0)
+            params = resolve_params(p, n0)[0]
         except ValidationError:
             return
         assert params.k == default_k_oracle(p)
@@ -214,7 +213,8 @@ class TestDefaultParams:
 class TestResolveParams:
     def test_all_defaults(self):
         params, used = resolve_params(21, 2000)
-        assert params == default_params(21, 2000)
+        assert (params.k, params.k_star) == (default_k_oracle(21), default_k_star_oracle(2000))
+        assert params.beta == pytest.approx(beta_oracle(9, 1717, 21), abs=1e-15)
         assert used == ("k", "k_star", "beta")
 
     def test_overrides_win(self):

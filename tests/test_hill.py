@@ -3,19 +3,18 @@
 import math
 import tracemalloc
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailcluster.core import DataMatrix, TailPartition, ValidationError
 from tailcluster.hill import (
-    HillEstimate,
     NonpositiveOrderStat,
     estimate_group_indices,
-    hill,
-    hill_ci,
+    hill_bands,
     hill_gammas,
     kmeans_1d_exact,
     tail_kmeans,
@@ -29,6 +28,15 @@ def hill_oracle(values, k: int) -> float:
     # direct formula over a full descending sort
     s = sorted(values, reverse=True)
     return sum(math.log(s[i]) - math.log(s[k]) for i in range(k)) / k
+
+
+def hill_column(values, k: int) -> float:
+    # the one-column Hill computation, step for step: a matrix pass must
+    # match it bit for bit
+    arr = np.asarray(values, dtype=float)
+    part = np.partition(arr, arr.size - 1 - k)
+    gamma = float(np.mean(np.log(part[arr.size - k:])) - math.log(part[arr.size - 1 - k]))
+    return max(gamma, 0.0)
 
 
 def wcss(values, groups) -> float:
@@ -128,55 +136,58 @@ def pareto_quantile_column(n: int, gamma: float) -> np.ndarray:
     return ((n + 1.0) / (n + 1.0 - i)) ** gamma
 
 
+def one_column_hill(col, k: int) -> float:
+    # hill_gammas on a one-column matrix: the library's one-column Hill
+    return float(hill_gammas(DataMatrix(values=np.asarray(col, dtype=float)[:, None]), k)[0])
+
+
 class TestHill:
     def test_top_order_statistics_example(self):
         # top three order statistics e^2, e, 1: log-ratios are 2 and 1
         col = np.array([1.0, math.e, math.e**2])
-        est = hill(col, k=2)
-        assert est.gamma_hat == pytest.approx(1.5, abs=1e-12)
-        assert est.k_used == 2
-        assert est.ci_low is None
+        assert one_column_hill(col, k=2) == pytest.approx(1.5, abs=1e-12)
 
     def test_constant_column(self):
-        est = hill(np.full(10, 3.0), k=4)
-        assert est.gamma_hat == 0.0
+        # a tie column gives +0.0, not -0.0
+        gamma = one_column_hill(np.full(10, 3.0), k=4)
+        assert gamma == 0.0
+        assert not np.signbit(gamma)
 
     def test_pareto_quantile_column(self):
         col = pareto_quantile_column(100, gamma=1.0)
-        est = hill(col, k=10)
-        assert est.gamma_hat == pytest.approx(hill_oracle(col, 10), abs=1e-12)
+        gamma = one_column_hill(col, k=10)
+        assert gamma == pytest.approx(hill_oracle(col, 10), abs=1e-12)
         # the top eleven values are 101/1 .. 101/11, so the estimate is
         # the mean of log(11/(i+1)) for i = 0..9
         direct = float(np.mean([math.log(11.0 / (i + 1)) for i in range(10)]))
-        assert est.gamma_hat == pytest.approx(direct, abs=1e-12)
+        assert gamma == pytest.approx(direct, abs=1e-12)
 
     def test_converges_on_exact_quantiles(self):
         # deterministic quantile data, n = 10^4, k = 10^3, within 5%
         for gamma in (1.0, 0.5, 0.25):
             col = pareto_quantile_column(10_000, gamma)
-            est = hill(col, k=1_000)
-            assert abs(est.gamma_hat - gamma) / gamma < 0.05
+            est = one_column_hill(col, k=1_000)
+            assert abs(est - gamma) / gamma < 0.05
 
     def test_scale_invariance(self):
         col = pareto_quantile_column(200, gamma=0.7)
-        base = hill(col, k=20).gamma_hat
+        base = one_column_hill(col, k=20)
         for c in (0.001, 3.7, 4096.0):
-            assert hill(col * c, k=20).gamma_hat == pytest.approx(
-                base, rel=1e-10
-            )
+            assert one_column_hill(col * c, k=20) == pytest.approx(base, rel=1e-10)
 
     def test_domain(self):
         col = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(ValidationError):
-            hill(col, k=0)
-        with pytest.raises(ValidationError):
-            hill(col, k=3)
-        with pytest.raises(ValidationError):
-            hill(np.array([2.0]), k=1)
+        with pytest.raises(ValidationError, match=r"k=0 out of range \[1, 2\]"):
+            one_column_hill(col, k=0)
+        with pytest.raises(ValidationError, match=r"k=3 out of range \[1, 2\]"):
+            one_column_hill(col, k=3)
+        # a one-row column has no k in range: the matrix itself refuses it
+        with pytest.raises(ValidationError, match="need n >= 2 rows"):
+            one_column_hill(np.array([2.0]), k=1)
 
     def test_nonpositive_order_stat(self):
         with pytest.raises(NonpositiveOrderStat) as exc:
-            hill(np.array([-1.0, 0.5, 2.0, 3.0]), k=3)
+            one_column_hill(np.array([-1.0, 0.5, 2.0, 3.0]), k=3)
         assert exc.value.value == -1.0
 
     @given(seed=st.integers(0, 10**6), k=st.integers(1, 20))
@@ -184,47 +195,90 @@ class TestHill:
     def test_matches_formula_oracle(self, seed, k):
         rng = np.random.default_rng(seed)
         col = rng.pareto(2.0, size=50) + 0.01
-        assert hill(col, k).gamma_hat == pytest.approx(
+        assert one_column_hill(col, k) == pytest.approx(
             max(hill_oracle(col, k), 0.0), abs=1e-12
         )
 
 
+def band_oracle(gamma: float, k: int, level: float) -> tuple[float, float]:
+    # the band formula one estimate at a time, in Python floats
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) / math.sqrt(k)
+    low = gamma * (1.0 - half)
+    return (low if low > 0.0 else 0.0), gamma * (1.0 + half)
+
+
+def one_band(gamma: float, k: int, level: float) -> tuple[float, float]:
+    low, high = hill_bands(np.array([gamma]), k, level)
+    return float(low[0]), float(high[0])
+
+
 class TestHillCi:
     def test_arithmetic_example(self):
-        est = hill_ci(HillEstimate(gamma_hat=1.0, k_used=100), level=0.95)
+        low, high = one_band(1.0, 100, level=0.95)
         # z for 97.5% is 1.959964
-        assert est.ci_low == pytest.approx(1.0 - 1.959964 / 10.0, abs=1e-6)
-        assert est.ci_high == pytest.approx(1.0 + 1.959964 / 10.0, abs=1e-6)
-        assert est.ci_method == "asymptotic_normal"
+        assert low == pytest.approx(1.0 - 1.959964 / 10.0, abs=1e-6)
+        assert high == pytest.approx(1.0 + 1.959964 / 10.0, abs=1e-6)
 
     def test_zero_estimate(self):
-        est = hill_ci(HillEstimate(gamma_hat=0.0, k_used=5), level=0.95)
-        assert (est.ci_low, est.ci_high) == (0.0, 0.0)
+        # at 95%, k <= 3 makes the factor 1 - z/sqrt(k) negative
+        for k in (1, 2, 3, 5):
+            low, high = one_band(0.0, k, level=0.95)
+            assert (low, high) == (0.0, 0.0)
+            assert not np.signbit(low)
 
     def test_clipped_below_at_zero(self):
-        est = hill_ci(HillEstimate(gamma_hat=1.0, k_used=1), level=0.99)
-        assert est.ci_low == 0.0
+        low, _ = one_band(1.0, 1, level=0.99)
+        assert low == 0.0
+        assert not np.signbit(low)
 
     def test_wider_level_nests(self):
-        base = HillEstimate(gamma_hat=2.0, k_used=400)
-        narrow = hill_ci(base, level=0.90)
-        wide = hill_ci(base, level=0.99)
-        assert wide.ci_low < narrow.ci_low
-        assert narrow.ci_high < wide.ci_high
+        narrow = one_band(2.0, 400, level=0.90)
+        wide = one_band(2.0, 400, level=0.99)
+        assert wide[0] < narrow[0]
+        assert narrow[1] < wide[1]
 
     def test_level_domain(self):
-        with pytest.raises(ValidationError):
-            hill_ci(HillEstimate(gamma_hat=1.0, k_used=5), level=1.0)
+        for level in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValidationError, match="level must lie in"):
+                hill_bands(np.array([1.0]), 5, level)
 
-    def test_estimate_invariants(self):
-        with pytest.raises(ValidationError):
-            HillEstimate(gamma_hat=-0.5, k_used=5)
-        with pytest.raises(ValidationError):
-            HillEstimate(gamma_hat=1.0, k_used=0)
-        with pytest.raises(ValidationError):
-            HillEstimate(gamma_hat=1.0, k_used=5, ci_low=0.5)
-        with pytest.raises(ValidationError):
-            HillEstimate(gamma_hat=1.0, k_used=5, ci_low=1.2, ci_high=1.4)
+    def test_k_domain(self):
+        for k in (0, -3):
+            with pytest.raises(ValidationError, match=f"k must be >= 1, got {k}"):
+                hill_bands(np.array([1.0]), k, 0.95)
+
+    @given(
+        gammas=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8),
+        k=st.integers(1, 10_000),
+        level=st.floats(1e-6, 1 - 1e-6),
+    )
+    @settings(max_examples=100)
+    def test_matches_scalar_formula(self, gammas, k, level):
+        # the array arithmetic is the scalar formula's, so bits agree
+        low, high = hill_bands(np.array(gammas), k, level)
+        ref = np.array([band_oracle(g, k, level) for g in gammas])
+        np.testing.assert_array_equal(low.view(np.int64), ref[:, 0].view(np.int64))
+        np.testing.assert_array_equal(high.view(np.int64), ref[:, 1].view(np.int64))
+
+    @given(
+        gammas=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8),
+        k=st.integers(1, 10_000),
+        levels=st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6)),
+    )
+    @settings(max_examples=200)
+    def test_estimate_invariants(self, gammas, k, levels):
+        # the bands bracket their estimates, never carry a negative zero,
+        # and widen as the level rises
+        gam = np.array(gammas)
+        lo_level, hi_level = sorted(levels)
+        assume(hi_level - lo_level > 1e-9)
+        narrow_low, narrow_high = hill_bands(gam, k, lo_level)
+        low, high = hill_bands(gam, k, hi_level)
+        assert low.shape == high.shape == gam.shape
+        assert np.all((0.0 <= low) & (low <= gam) & (gam <= high))
+        assert not np.any(np.signbit(low))
+        assert np.all(np.isfinite(high))
+        assert np.all((low <= narrow_low) & (narrow_high <= high))
 
 
 class TestKmeans1dExact:
@@ -372,10 +426,10 @@ class TestKmeansMatchesReference:
 class TestHillGammas:
     @pytest.mark.parametrize("model", MODELS)
     def test_equals_single_column_hill_bit_for_bit(self, model):
-        # the single-column hill is the reference any faster pass must match
+        # the one-column computation is the reference any faster pass must match
         data, _ = generate(SimModelSpec(model=model, g=3, q=3, delta=0.5, n=300, seed=17))
         for k in (1, 2, 9, 50, 299):
-            ref = np.array([hill(data.values[:, j - 1], k).gamma_hat for j in range(1, data.p + 1)])
+            ref = np.array([hill_column(data.values[:, j - 1], k) for j in range(1, data.p + 1)])
             # compare bit patterns, so that -0.0 against 0.0 fails too
             np.testing.assert_array_equal(hill_gammas(data, k).view(np.int64), ref.view(np.int64))
 
@@ -448,9 +502,7 @@ class TestEstimateGroupIndices:
     def test_singletons_reproduce_raw(self, three_column_data):
         part = TailPartition(groups=((1,), (2,), (3,)))
         _, per_col = estimate_group_indices(three_column_data, part, k_hill=2)
-        raw = [
-            hill(three_column_data.values[:, j - 1], 2).gamma_hat for j in (1, 2, 3)
-        ]
+        raw = [hill_column(three_column_data.values[:, j - 1], 2) for j in (1, 2, 3)]
         assert per_col == pytest.approx(raw, abs=1e-12)
 
     def test_dimension_mismatch(self, three_column_data):
@@ -467,7 +519,7 @@ class TestEstimateGroupIndices:
         data = DataMatrix(values=values)
         part = TailPartition(groups=((1, 4), (2, 3, 5)))
         group_gammas, per_col = estimate_group_indices(data, part, k_hill=8)
-        raw = np.array([hill(data.values[:, j - 1], 8).gamma_hat for j in range(1, 6)])
+        raw = np.array([hill_column(data.values[:, j - 1], 8) for j in range(1, 6)])
         for gi, grp in enumerate(part.groups):
             members = raw[[j - 1 for j in grp]]
             assert members.min() - 1e-12 <= group_gammas[gi] <= members.max() + 1e-12
