@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from tailcluster import cluster_unknown_g, resolve_params
-from tailcluster.ingest import loss_return_values, min_positive_count, read_price_csv, returns
+from tailcluster.ingest import min_positive_count, read_price_csv, returns
 
 rng = np.random.default_rng(11)
 n_days = 600
@@ -45,10 +45,8 @@ print(f"read {len(table.dates)} dated rows for series {table.names}")
 # ------------
 # Rows with any missing price are dropped, then loss returns
 # -log(P_t / P_{t-1}) are taken between consecutive retained rows.
-values, names = loss_return_values(table)
-print(f"{values.shape[0]} return rows survive listwise deletion")
-
 data = returns(table)
+print(f"{data.n} return rows survive listwise deletion")
 print(f"columns: {data.column_labels}, positive counts >= {min_positive_count(data)}")
 
 # %%

@@ -136,7 +136,6 @@ class SweepConfig:
 class MethodResult:
     """Outcome of one method on one replication."""
 
-    partition: TailPartition | None
     accuracy: float | None
     mse: float | None
     error: str | None = None
@@ -164,7 +163,7 @@ def run_replication(
     A method that raises a domain error is recorded in its result's
     error field rather than aborting the replication. The "raw_hill"
     method carries the MSE of per-column Hill estimates without any
-    grouping, and no partition or accuracy.
+    grouping, and no accuracy.
     """
     data, truth = generate(spec)
     true_cols = truth.column_gammas()
@@ -188,14 +187,13 @@ def run_replication(
                 raise ValidationError(f"unknown method {method!r}")
             per_col = gammas() if part is None else group_means(gammas(), part)[1]
             out[method] = MethodResult(
-                partition=part,
                 accuracy=None if part is None else accuracy(truth, part),
                 mse=mse(true_cols, per_col),
                 seconds=time.perf_counter() - t0,
             )
         except TailClusterError as exc:
             out[method] = MethodResult(
-                None, None, None,
+                None, None,
                 error=f"{type(exc).__name__}: {exc}",
                 seconds=time.perf_counter() - t0,
             )
@@ -259,11 +257,6 @@ def _resolve_point(
 ) -> tuple[PointReport, ClusterParams]:
     """One point's report, with its rep seeds and no cells yet, and its params."""
     p = g * q
-    if p < 2 and (k is None or k_star is None):
-        raise ValidationError(
-            "the default parameter formulas need p >= 2; give k and "
-            "k_star explicitly for single-column designs"
-        )
     # n0 = n: simulated data is all-positive by construction
     params, defaults_used = resolve_params(p, config.n, k=k, k_star=k_star, beta=beta)
     params.validate_for(config.n, p)

@@ -89,6 +89,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_cluster(args) -> int:
+    hill_bands(np.empty(0), 1, args.ci)  # a bad --ci fails here, before any work
     data = _load_matrix(args.input, args.prices)
     n0 = min_positive_count(data)
     params, defaults_used = resolve_params(
@@ -134,6 +135,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_hill(args) -> int:
+    hill_bands(np.empty(0), 1, args.ci)  # a bad --ci fails here, before any work
     data = _load_matrix(args.input, args.prices)
     if args.k is not None:
         k = args.k

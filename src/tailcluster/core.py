@@ -287,7 +287,10 @@ def resolve_params(
     filled = []
     if k is None or k_star is None:
         if p < 2:
-            raise ValidationError(f"p must be >= 2, got {p}")
+            raise ValidationError(
+                f"p must be >= 2, got {p}: the default parameter formulas need it; "
+                "give k and k_star explicitly for single-column data"
+            )
         if n0 < 4:
             raise ValidationError(f"n0 must be >= 4, got {n0}")
     if k is None:

@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import DataMatrix, TailPartition, ValidationError
+from .core import DataMatrix, DimensionMismatchError, TailPartition, ValidationError
 
 _BLOCK = 64  # right ends per DP cost block: temporaries are O(p * _BLOCK), not p x p
 
@@ -159,7 +159,12 @@ def group_means(gammas: np.ndarray, partition: TailPartition) -> tuple[np.ndarra
         (group_gammas, per_column_gammas): group_gammas[l] is the simple
         average of the member columns' estimates; every column of group
         l receives that average in per_column_gammas.
+
+    Raises:
+        DimensionMismatchError: partition.p differs from gammas.size.
     """
+    if partition.p != gammas.size:
+        raise DimensionMismatchError(f"partition covers p={partition.p} columns, gammas has p={gammas.size}")
     group_gammas = np.empty(len(partition.groups))
     per_column = np.empty(gammas.size)
     for gi, grp in enumerate(partition.groups):
@@ -182,8 +187,4 @@ def estimate_group_indices(
     data: DataMatrix, partition: TailPartition, k_hill: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """group_means of the data's Hill pass at k_hill."""
-    if partition.p != data.p:
-        raise ValidationError(
-            f"partition covers {partition.p} columns but data has {data.p}"
-        )
     return group_means(hill_gammas(data, k_hill), partition)

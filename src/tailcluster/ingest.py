@@ -7,7 +7,8 @@ and "1_000" is rejected). Price tables put dates (written YYYY-MM-DD,
 strictly increasing) in the first column; missing prices are written as an empty
 field and recognized on input as any of "", "NA", "NaN", "ND", "null"
 (case-insensitive). Readers check a file row by row and report its first
-fault in file order.
+fault in file order. read_price_csv parses each date once, so a PriceTable
+holds datetime.date values; returns is the one conversion to loss returns.
 """
 
 from __future__ import annotations
@@ -41,19 +42,19 @@ class PriceTable:
     """Dated price series with optional gaps.
 
     Attributes:
-        dates: strictly increasing ISO date strings, at least 2.
+        dates: strictly increasing datetime.date values, at least 2.
         names: the p series names.
         prices: (len(dates), p) float array with NaN marking a missing
             observation; present prices may be any finite value (sign is
             checked where it matters, at return computation).
     """
 
-    dates: tuple[str, ...]
+    dates: tuple[date, ...]
     names: tuple[str, ...]
     prices: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.prices, dtype=float)
+        arr = np.array(self.prices, dtype=float)
         if arr.ndim != 2 or arr.shape != (len(self.dates), len(self.names)):
             raise ValidationError(
                 f"prices shape {arr.shape} does not match {len(self.dates)} dates "
@@ -63,21 +64,18 @@ class PriceTable:
             raise ValidationError("a price table needs at least 2 rows")
         if len(set(self.names)) != len(self.names):
             raise ValidationError("series names must be distinct")
-        days = []
-        for pos, token in enumerate(map(str, self.dates), start=1):
-            if (day := _iso_date(token)) is None:
-                raise ValidationError(f"date {pos} ({token!r}) is not an ISO date (YYYY-MM-DD)")
-            days.append(day)
-        for pos, (a, b) in enumerate(zip(days, days[1:]), start=2):
+        for pos, day in enumerate(self.dates, start=1):
+            if type(day) is not date:
+                raise ValidationError(f"date {pos} is {day!r}, not a datetime.date")
+        for pos, (a, b) in enumerate(zip(self.dates, self.dates[1:]), start=2):
             if b <= a:
                 raise ValidationError(
                     f"dates must be strictly increasing: date {pos} ({b}) "
                     f"does not follow date {pos - 1} ({a})"
                 )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "prices", arr)
-        object.__setattr__(self, "dates", tuple(str(d) for d in self.dates))
+        object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
 
 
@@ -91,41 +89,32 @@ def _iso_date(token: str) -> date | None:
     return day if day.isoformat() == token else None
 
 
-def loss_return_values(prices: PriceTable) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Loss returns -log(P_t / P_{t-1}) over the complete rows.
+def returns(prices: PriceTable) -> DataMatrix:
+    """Loss returns -log(P_t / P_{t-1}) over the complete rows, as a DataMatrix.
 
     Rows with any missing price are removed first (listwise deletion),
     and differences are then taken between consecutive retained rows,
-    including across a deleted gap.
-
-    Returns:
-        ((m-1) x p array, series names) where m is the number of
-        complete rows; m >= 2 is required.
+    including across a deleted gap. m complete rows give m - 1 return
+    rows, labelled by the series names.
 
     Raises:
-        ValidationError: a retained price is not strictly positive, or
-            fewer than 2 complete rows remain.
+        ValidationError: fewer than 3 complete rows remain (a DataMatrix
+            needs 2 return rows), or a retained price is not strictly
+            positive.
     """
-    complete = ~np.isnan(prices.prices).any(axis=1)
-    kept = prices.prices[complete]
-    if kept.shape[0] < 2:
+    complete = np.flatnonzero(~np.isnan(prices.prices).any(axis=1))
+    if complete.size < 3:
         raise ValidationError(
-            f"need at least 2 complete price rows, found {kept.shape[0]}"
+            f"need at least 3 complete price rows to give 2 return rows, found {complete.size}"
         )
+    kept = prices.prices[complete]
     if np.any(kept <= 0.0):
         i, j = np.argwhere(kept <= 0.0)[0]
-        day = tuple(np.asarray(prices.dates)[complete])[i]
         raise ValidationError(
-            f"price for {prices.names[j]} on {day} is {float(kept[i, j])!r}; "
-            "prices must be strictly positive"
+            f"price for {prices.names[j]} on {prices.dates[complete[i]]} is "
+            f"{float(kept[i, j])!r}; prices must be strictly positive"
         )
-    return -np.diff(np.log(kept), axis=0), prices.names
-
-
-def returns(prices: PriceTable) -> DataMatrix:
-    """Loss-return matrix of a price table; see loss_return_values."""
-    values, names = loss_return_values(prices)
-    return DataMatrix(values=values, column_labels=names)
+    return DataMatrix(values=-np.diff(np.log(kept), axis=0), column_labels=prices.names)
 
 
 def min_positive_count(data: DataMatrix) -> int:
@@ -273,6 +262,7 @@ def _price_cells(row: list[str], i: int, header: list[str], source: str) -> list
 def read_price_csv(path) -> PriceTable:
     """Read a price table: first column dates, remaining columns prices.
 
+    Each date token must be written YYYY-MM-DD and is parsed once, here.
     Missing prices may be written as empty fields or any of the tokens
     NA, NaN, ND, null (case-insensitive).
     """
@@ -282,10 +272,10 @@ def read_price_csv(path) -> PriceTable:
     dates = []
     cells = array("d")
     for i, row, fast in body:
-        day = row[0].strip()
-        if _iso_date(day) is None:
+        token = row[0].strip()
+        if (day := _iso_date(token)) is None:
             raise ParseError(
-                f"{path}: row {i}, column {header[0]!r}: cannot parse {day!r} as an ISO date"
+                f"{path}: row {i}, column {header[0]!r}: cannot parse {token!r} as an ISO date"
             )
         dates.append(day)
         # a missing token (NA, NaN, ...) fails the map or reads as NaN

@@ -146,7 +146,6 @@ class TestRunReplication:
         out = run_replication(spec, ClusterParams(k=2, k_star=100, beta=0.8))
         for method in ("proposed_known_g", "proposed_unknown_g"):
             assert out[method].error == "ValidationError: k_star=100 must be <= n - 1 = 99"
-            assert out[method].partition is None
         assert out["tail_kmeans"].error is None
         assert out["tail_kmeans"].accuracy is not None
 
@@ -156,7 +155,6 @@ class TestRunReplication:
         out = run_replication(spec, params, methods=("raw_hill",))
         assert list(out) == ["raw_hill"]
         assert out["raw_hill"].mse is not None
-        assert out["raw_hill"].partition is None
         assert out["raw_hill"].accuracy is None
 
 

@@ -15,8 +15,8 @@ from tailcluster import cluster_unknown_g, ClusterParams, generate, SimModelSpec
 from tailcluster import bench, cli
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
-from tailcluster.core import SCHEMA_VERSION
-from tailcluster.ingest import read_data_csv, write_data_csv
+from tailcluster.core import SCHEMA_VERSION, resolve_params
+from tailcluster.ingest import min_positive_count, read_data_csv, write_data_csv
 
 HAND_CSV = (
     "heavy,light\n"
@@ -134,6 +134,25 @@ class TestCluster:
         # only 2 return rows and k == k_star: validation must reject it
         assert rc == 3
 
+    def test_single_column_hint(self, tmp_path, capsys):
+        inp = write(tmp_path, "one.csv", "a\n" + "\n".join(str(v) for v in range(1, 9)) + "\n")
+        assert main(["cluster", inp, "--auto-g"]) == 3
+        assert capsys.readouterr().err == (
+            "error: p must be >= 2, got 1: the default parameter formulas need it; "
+            "give k and k_star explicitly for single-column data\n"
+        )
+
+    @pytest.mark.parametrize("mode", [["--auto-g"], ["--known-g", "2"]])
+    def test_bad_ci_fails_before_any_work(self, tmp_path, monkeypatch, capsys, mode):
+        calls = []
+        for name in ("cluster_unknown_g", "cluster_known_g", "hill_gammas"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        inp = write(tmp_path, "hand.csv", HAND_CSV)
+        assert main(["cluster", inp, *mode, "--ci", "1.5"]) == 3
+        assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.5\n"
+        assert calls == []
+
 
 def _params_from(payload):
     p = payload["params"]
@@ -181,6 +200,30 @@ class TestHill:
         assert main(["hill", str(path), "--k", "2", "--format", "csv"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line.split(",")[0] for line in out[1:]] == ["a", "b"]
+
+    def test_default_k_is_the_formula_k(self, tmp_path, capsys):
+        data, _ = generate(SimModelSpec(model="A", g=2, q=3, delta=0.5, n=300, seed=3))
+        inp = tmp_path / "d.csv"
+        write_data_csv(data, inp)
+        k = resolve_params(data.p, min_positive_count(data))[0].k
+        for fmt in ("json", "csv"):
+            assert main(["hill", str(inp), "--format", fmt]) == 0
+            default = capsys.readouterr().out
+            assert main(["hill", str(inp), "--k", str(k), "--format", fmt]) == 0
+            assert capsys.readouterr().out == default
+
+    def test_bad_ci_fails_before_the_hill_pass(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "hill_gammas", lambda *a: calls.append(a))
+        inp = write(tmp_path, "hand.csv", HAND_CSV)
+        assert main(["hill", inp, "--ci", "1.5"]) == 3
+        assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.5\n"
+        assert calls == []
+
+    def test_k_out_of_range_named_by_the_hill_pass(self, tmp_path, capsys):
+        inp = write(tmp_path, "hand.csv", HAND_CSV)
+        assert main(["hill", inp, "--k", "0"]) == 3
+        assert capsys.readouterr().err == "error: k=0 out of range [1, 5]\n"
 
     def test_nonpositive_order_stat_names_column(self, tmp_path, capsys):
         inp = write(tmp_path, "neg.csv", "pos,neg\n3,1\n2,-1\n1,-2\n")
@@ -357,8 +400,16 @@ class TestReturns:
         assert main(["returns", inp, "--output", "ret.csv"]) == 2
         assert "row 2, column 'date'" in capsys.readouterr().err
 
+    def test_two_complete_rows_is_validation_exit(self, tmp_path, capsys):
+        inp = write(tmp_path, "p.csv", "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.1\n")
+        assert main(["returns", inp, "--output", "ret.csv"]) == 3
+        assert capsys.readouterr().err == (
+            "error: need at least 3 complete price rows to give 2 return rows, found 2\n"
+        )
+        assert not (tmp_path / "ret.csv").exists()
+
     def test_nonpositive_price_is_validation_exit(self, tmp_path, capsys):
-        inp = write(tmp_path, "p.csv", "date,a\n2020-01-01,1.0\n2020-01-02,-1.0\n")
+        inp = write(tmp_path, "p.csv", "date,a\n2020-01-01,1.0\n2020-01-02,-1.0\n2020-01-03,1.0\n")
         assert main(["returns", inp, "--output", "ret.csv"]) == 3
         assert "price for a on 2020-01-02 is -1.0; " in capsys.readouterr().err
         assert not (tmp_path / "ret.csv").exists()

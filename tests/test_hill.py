@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tailcluster.core import DataMatrix, TailPartition, ValidationError
+from tailcluster.core import DataMatrix, DimensionMismatchError, TailPartition, ValidationError
 from tailcluster.hill import (
     NonpositiveOrderStat,
     estimate_group_indices,
+    group_means,
     hill_bands,
     hill_gammas,
     kmeans_1d_exact,
@@ -510,6 +511,15 @@ class TestEstimateGroupIndices:
             estimate_group_indices(
                 three_column_data, TailPartition(groups=((1, 2),)), k_hill=2
             )
+
+    @pytest.mark.parametrize("groups, p", [(((1,), (2,)), 2), (((1, 3), (2,), (4,)), 4)],
+                             ids=["short", "long"])
+    def test_group_means_checks_partition_size(self, groups, p):
+        # a short partition would leave a column's entry unset, a long one
+        # would index past the estimates
+        with pytest.raises(DimensionMismatchError) as exc:
+            group_means(np.array([1.0, 2.0, 3.0]), TailPartition(groups=groups))
+        assert str(exc.value) == f"partition covers p={p} columns, gammas has p=3"
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=60)

@@ -4,6 +4,7 @@ import csv
 import math
 import re
 import tracemalloc
+from datetime import date
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from tailcluster import ingest
 from tailcluster.core import DataMatrix, ParseError, ValidationError
 from tailcluster.ingest import (
     PriceTable,
-    loss_return_values,
     min_positive_count,
     read_data_csv,
     read_price_csv,
@@ -35,7 +35,9 @@ def reference_write_data_csv(data: DataMatrix, path) -> None:
 
 
 def table(dates, names, prices) -> PriceTable:
-    return PriceTable(dates=tuple(dates), names=tuple(names), prices=np.array(prices))
+    # dates are given as ISO strings for brevity; the table holds dates
+    days = tuple(date.fromisoformat(d) for d in dates)
+    return PriceTable(dates=days, names=tuple(names), prices=np.array(prices))
 
 
 class TestPriceTable:
@@ -46,8 +48,6 @@ class TestPriceTable:
             table(["2020-01-02", "2020-01-01"], ["a"], [[1.0], [2.0]])
         with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-01"], ["a"], [[1.0], [2.0]])
-        with pytest.raises(ValidationError):
-            table(["1/1/2020", "1/2/2020"], ["a"], [[1.0], [2.0]])
         with pytest.raises(ValidationError):
             table(["2020-01-01", "2020-01-02"], ["a", "a"], [[1, 2], [3, 4]])
         with pytest.raises(ValidationError):
@@ -65,25 +65,33 @@ class TestPriceTable:
         with pytest.raises(ValidationError, match=backwards):
             table(["2020-01-01", "2019-12-31"], ["a"], [[1.0], [2.0]])
 
-    @pytest.mark.parametrize("token", ["20200102", "2020-W01-4", "2020-1-02", " 2020-01-02"])
+    @pytest.mark.parametrize(
+        "token", ["20200102", "2020-W01-4", "2020-1-02", " 2020-01-02", "2020-01-02"]
+    )
     def test_dates_must_be_written_yyyy_mm_dd(self, token):
-        # date.fromisoformat reads each of these as a date
+        # the table holds dates: read_price_csv owns the spelling of a
+        # date token, and the table parses no strings, in any spelling
         with pytest.raises(ValidationError) as exc:
-            table(["2020-01-01", token], ["a"], [[1.0], [2.0]])
-        assert str(exc.value) == f"date 2 ({token!r}) is not an ISO date (YYYY-MM-DD)"
+            PriceTable(dates=(date(2020, 1, 1), token), names=("a",), prices=[[1.0], [2.0]])
+        assert str(exc.value) == f"date 2 is {token!r}, not a datetime.date"
 
     def test_read_only(self):
-        t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [2.0]])
+        prices = np.array([[1.0], [2.0]])
+        t = PriceTable(dates=(date(2020, 1, 1), date(2020, 1, 2)), names=("a",), prices=prices)
         with pytest.raises(ValueError):
             t.prices[0, 0] = 5.0
+        # the table froze its own copy, not the caller's array
+        prices[0, 0] = 5.0
+        assert t.prices[0, 0] == 1.0
 
 
 class TestLossReturnValues:
     def test_two_day_example(self):
-        t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [math.e]])
-        values, names = loss_return_values(t)
-        assert names == ("a",)
-        assert values[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        t = table(["2020-01-01", "2020-01-02", "2020-01-03"], ["a"], [[1.0], [math.e], [1.0]])
+        data = returns(t)
+        assert data.column_labels == ("a",)
+        assert data.values[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert data.values[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_prices_zero_returns(self):
         t = table(
@@ -91,18 +99,17 @@ class TestLossReturnValues:
             ["a", "b"],
             [[7.0, 3.0], [7.0, 3.0], [7.0, 3.0]],
         )
-        values, _ = loss_return_values(t)
-        assert np.all(values == 0.0)
+        assert np.all(returns(t).values == 0.0)
 
     def test_listwise_deletion_and_gap_crossing(self):
-        # middle row misses one series: both columns difference across it
+        # second row misses one series: both columns difference across it
         t = table(
-            ["2020-01-01", "2020-01-02", "2020-01-03"],
+            ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"],
             ["a", "b"],
-            [[1.0, 2.0], [1.5, np.nan], [4.0, 8.0]],
+            [[1.0, 2.0], [1.5, np.nan], [4.0, 8.0], [4.0, 8.0]],
         )
-        values, _ = loss_return_values(t)
-        assert values.shape == (1, 2)
+        values = returns(t).values
+        assert values.shape == (2, 2)
         assert values[0, 0] == pytest.approx(-math.log(4.0 / 1.0), abs=1e-15)
         assert values[0, 1] == pytest.approx(-math.log(8.0 / 2.0), abs=1e-15)
 
@@ -111,31 +118,50 @@ class TestLossReturnValues:
         prices[2, 0] = np.nan
         prices[5, 1] = np.nan
         t = table([f"2020-01-{d:02d}" for d in range(1, 9)], ["a", "b"], prices)
-        values, _ = loss_return_values(t)
-        assert values.shape[0] == 6 - 1
+        assert returns(t).n == 6 - 1
 
     def test_too_few_complete_rows(self):
         t = table(
             ["2020-01-01", "2020-01-02"], ["a"], [[1.0], [np.nan]]
         )
         with pytest.raises(ValidationError, match="complete"):
-            loss_return_values(t)
+            returns(t)
+
+    def test_two_complete_rows_rejected_by_name(self):
+        # 2 complete rows give 1 return row, fewer than a DataMatrix holds
+        t = table(
+            ["2020-01-01", "2020-01-02", "2020-01-03"],
+            ["a", "b"],
+            [[1.0, 2.0], [1.5, np.nan], [4.0, 8.0]],
+        )
+        with pytest.raises(ValidationError) as exc:
+            returns(t)
+        assert str(exc.value) == (
+            "need at least 3 complete price rows to give 2 return rows, found 2"
+        )
 
     def test_nonpositive_price_names_series_and_date(self):
         t = table(
-            ["2020-01-01", "2020-01-02"], ["aud", "eur"], [[1.0, 2.0], [1.0, -3.0]]
+            ["2020-01-01", "2020-01-02", "2020-01-03"],
+            ["aud", "eur"],
+            [[1.0, 2.0], [1.0, -3.0], [1.0, 2.0]],
         )
         with pytest.raises(ValidationError) as exc:
-            loss_return_values(t)
+            returns(t)
         assert "eur" in str(exc.value)
         assert "2020-01-02" in str(exc.value)
 
     def test_nonpositive_price_message_prints_a_plain_float(self):
-        t = table(["2020-01-01", "2020-01-02"], ["a"], [[1.0], [-1.0]])
+        t = table(
+            ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"],
+            ["a"],
+            [[1.0], [np.nan], [-1.0], [1.0]],
+        )
         with pytest.raises(ValidationError) as exc:
-            loss_return_values(t)
+            returns(t)
+        # the date is the deleted gap's neighbour, not the row at the same position
         assert str(exc.value) == (
-            "price for a on 2020-01-02 is -1.0; prices must be strictly positive"
+            "price for a on 2020-01-03 is -1.0; prices must be strictly positive"
         )
 
     def test_returns_wraps_datamatrix(self):
@@ -218,25 +244,32 @@ class TestPriceCsv:
             "2020-01-03,1.2,nan\n"
             "2020-01-04,1.3,\n"
             "2020-01-05,ND,null\n"
-            "2020-01-06,1.5,2.5\n",
+            "2020-01-06,1.5,2.5\n"
+            "2020-01-07,1.6,2.6\n",
             encoding="utf-8",
         )
         t = read_price_csv(path)
-        assert t.dates[0] == "2020-01-01"
+        assert t.dates[0] == date(2020, 1, 1)
         assert t.names == ("aud", "eur")
         assert np.isnan(t.prices[1, 0])
         assert np.isnan(t.prices[2, 1])
         assert np.isnan(t.prices[3, 1])
         assert np.isnan(t.prices[4, 0]) and np.isnan(t.prices[4, 1])
-        # only rows 1 and 6 are complete
-        values, _ = loss_return_values(t)
-        assert values.shape == (1, 2)
+        # only rows 1, 6 and 7 are complete
+        assert returns(t).values.shape == (2, 2)
 
     def test_needs_series_column(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("date\n2020-01-01\n", encoding="utf-8")
         with pytest.raises(ParseError, match="series"):
             read_price_csv(path)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("date,aud,eur\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_price_csv(path)
+        assert str(exc.value) == f"{path}: no data rows"
 
     def test_bad_number_located(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -367,7 +400,7 @@ class TestCsvDialect:
         path.write_bytes(bom + b"a,b\n1,2\n3,4\n")
         assert read_data_csv(path).column_labels == ("a", "b")
         path.write_bytes(bom + b"date,a\n2020-01-01,1\n2020-01-02,2\n")
-        assert read_price_csv(path).dates == ("2020-01-01", "2020-01-02")
+        assert read_price_csv(path).dates == (date(2020, 1, 1), date(2020, 1, 2))
         path.write_bytes(bom + b"date,a\n2020-01-01,1\n2020/01/02,2\n")
         with pytest.raises(ParseError) as exc:
             read_price_csv(path)
