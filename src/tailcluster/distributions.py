@@ -7,8 +7,6 @@ simulation models need these to push uniform or Cauchy variates through
 heavy-tailed marginals, so accuracy targets are strict (see the
 individual docstrings) and every function is vectorized over its main
 argument.
-
-Scalar inputs return Python floats; array inputs return arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "student_t_quantile",
     "cauchy_cdf",
     "frechet_quantile",
-    "abs_student_t_quantile",
 ]
 
 
@@ -44,16 +41,6 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 200
 
 _TINY = 1e-300
-
-
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
 
 
 def _beta_cf(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -121,12 +108,10 @@ def reg_inc_beta(x, a: float, b: float):
     """
     if a <= 0 or b <= 0:
         raise ValidationError(f"a and b must be positive, got a={a}, b={b}")
-    arr, scalar = _as_array(x)
-    if np.any((arr < 0) | (arr > 1)) or not np.all(np.isfinite(arr)):
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError("x must lie in [0, 1]")
-    out = np.empty_like(arr)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
+    out = arr.copy()
     interior = (arr > 0.0) & (arr < 1.0)
     xs = arr[interior]
     if xs.size:
@@ -143,7 +128,7 @@ def reg_inc_beta(x, a: float, b: float):
             piece = front * _beta_cf(xx, aa, bb) / aa
             vals[sel] = piece if use_direct else 1.0 - piece
         out[interior] = vals
-    return _ret(np.clip(out, 0.0, 1.0), scalar)
+    return np.clip(out, 0.0, 1.0)
 
 
 def student_t_cdf(x, v: float):
@@ -155,20 +140,20 @@ def student_t_cdf(x, v: float):
     """
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     xx = arr * arr
     cdf = np.empty_like(arr)
     center = xx <= v
     if np.any(center):
         w = xx[center] / (v + xx[center])
-        body = np.atleast_1d(np.asarray(reg_inc_beta(w, 0.5, 0.5 * v)))
+        body = reg_inc_beta(w, 0.5, 0.5 * v)
         cdf[center] = 0.5 + 0.5 * np.sign(arr[center]) * body
     tail = ~center
     if np.any(tail):
         z = v / (v + xx[tail])
-        tail2 = np.atleast_1d(np.asarray(reg_inc_beta(z, 0.5 * v, 0.5)))
+        tail2 = reg_inc_beta(z, 0.5 * v, 0.5)
         cdf[tail] = np.where(arr[tail] >= 0, 1.0 - 0.5 * tail2, 0.5 * tail2)
-    return _ret(cdf, scalar)
+    return cdf
 
 
 def _student_t_pdf(x: np.ndarray, v: float, log_const: float) -> np.ndarray:
@@ -195,11 +180,10 @@ def _student_t_quantile_newton(u: np.ndarray, v: float) -> np.ndarray:
     hi = np.maximum(hi, lo + 1.0)
     out = np.empty_like(uu)
     idx = np.arange(uu.size)
-    target = uu.copy()
-    x = lo.copy()
+    x = lo
     for _ in range(_NEWTON_MAX_ITER):
-        f = np.atleast_1d(np.asarray(student_t_cdf(x, v)))
-        resid = f - target
+        f = student_t_cdf(x, v)
+        resid = f - uu
         done = np.abs(resid) <= _NEWTON_TOL
         if done.any():
             out[idx[done]] = x[done]
@@ -207,7 +191,7 @@ def _student_t_quantile_newton(u: np.ndarray, v: float) -> np.ndarray:
                 break
             keep = ~done
             idx, x, lo, hi = idx[keep], x[keep], lo[keep], hi[keep]
-            target, resid = target[keep], resid[keep]
+            uu, resid = uu[keep], resid[keep]
         lo = np.where(resid < 0, x, lo)
         hi = np.where(resid > 0, x, hi)
         cand = x - resid / _student_t_pdf(x, v, log_const)
@@ -235,43 +219,28 @@ def student_t_quantile(u, v: float):
     """
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
-    arr, scalar = _as_array(u)
+    arr = np.asarray(u, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     if v == 1.0:
-        return _ret(np.tan(math.pi * (arr - 0.5)), scalar)
+        return np.tan(math.pi * (arr - 0.5))
     if v == 2.0:
         alpha = 4.0 * arr * (1.0 - arr)
-        return _ret((2.0 * arr - 1.0) * np.sqrt(2.0 / alpha), scalar)
+        return (2.0 * arr - 1.0) * np.sqrt(2.0 / alpha)
     # the Newton lane tracks unconverged points by flat index
-    flat = _student_t_quantile_newton(arr.ravel(), v)
-    return _ret(flat.reshape(arr.shape), scalar)
+    return _student_t_quantile_newton(arr.ravel(), v).reshape(arr.shape)
 
 
 def cauchy_cdf(x):
     """Standard Cauchy CDF, 1/2 + arctan(x)/pi."""
-    arr, scalar = _as_array(x)
-    return _ret(0.5 + np.arctan(arr) / math.pi, scalar)
+    return 0.5 + np.arctan(np.asarray(x, dtype=float)) / math.pi
 
 
 def frechet_quantile(u, gamma: float):
     """Quantile of the Frechet law with CDF exp(-x^(-1/gamma)) for x > 0."""
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
-    arr, scalar = _as_array(u)
+    arr = np.asarray(u, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
-    return _ret((-np.log(arr)) ** (-gamma), scalar)
-
-
-def abs_student_t_quantile(u, v: float):
-    """Quantile of |T| where T is Student-t with degrees of freedom v."""
-    arr, scalar = _as_array(u)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise ValidationError("u must lie strictly inside (0, 1)")
-    uu = 0.5 * (1.0 + arr)
-    # (1+u)/2 can round to 1.0 for u within one ulp of 1; pull back inside
-    # the open interval so the in-domain contract still holds.
-    np.copyto(uu, np.nextafter(1.0, 0.0), where=uu >= 1.0)
-    out = np.atleast_1d(np.asarray(student_t_quantile(uu, v)))
-    return _ret(out, scalar)
+    return (-np.log(arr)) ** (-gamma)

@@ -30,11 +30,11 @@ class NonpositiveThreshold(ValidationError):
     """A scaling denominator was not strictly positive.
 
     Attributes:
-        column: 1-based index of the offending column.
+        column: label of the offending column.
     """
 
-    def __init__(self, column: int, value: float):
-        self.column = int(column)
+    def __init__(self, column: str, value: float):
+        self.column = column
         self.value = float(value)
         super().__init__(
             f"scaling denominator for column {self.column} is {self.value!r}; "
@@ -73,6 +73,6 @@ def self_scale(data: DataMatrix, k_star: int) -> np.ndarray:
     bad = denoms <= 0.0
     if np.any(bad):
         j = int(np.argmax(bad))
-        raise NonpositiveThreshold(j + 1, denoms[j])
+        raise NonpositiveThreshold(data.label_of(j + 1), denoms[j])
     scaled /= denoms
     return scaled

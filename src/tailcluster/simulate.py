@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix, GroundTruth, ValidationError, truth_from_design
-from .distributions import abs_student_t_quantile, cauchy_cdf, frechet_quantile, student_t_quantile
+from .distributions import cauchy_cdf, frechet_quantile, student_t_quantile
 
 __all__ = [
     "MODELS",
@@ -62,8 +62,8 @@ class SimModelSpec:
             raise ValidationError(f"g and q must be positive, got g={self.g}, q={self.q}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
+        if self.n < 2:
+            raise ValidationError(f"n must be >= 2, got {self.n}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -111,13 +111,9 @@ def sample_mv_cauchy(sigma: np.ndarray, n: int, rng_stream) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
     chol = np.linalg.cholesky(sigma)
-    z = np.asarray(rng_stream.standard_normal((n, sigma.shape[0])), dtype=float)
-    w = np.asarray(rng_stream.standard_normal(n), dtype=float)
+    z = rng_stream.standard_normal((n, sigma.shape[0]))
+    w = rng_stream.standard_normal(n)
     return (z @ chol.T) / np.abs(w)[:, None]
-
-
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed)])))
 
 
 def generate(spec: SimModelSpec) -> tuple[DataMatrix, GroundTruth]:
@@ -125,25 +121,27 @@ def generate(spec: SimModelSpec) -> tuple[DataMatrix, GroundTruth]:
 
     Pure function of the spec: the same spec (seed included) yields a
     bit-identical matrix. Columns with equal gamma are transformed in
-    one block, which does not change the per-column values.
+    one block, which does not change the per-column values. Model A
+    folds its uniforms to (1+u)/2 and so shares the |Student-t| quantile
+    line of B/C/D.
     """
     truth = truth_from_design(spec.g, spec.q, spec.delta)
     col_gammas = truth.column_gammas()
-    rng = _rng_for(spec.seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(spec.seed)])))
     n, p = spec.n, spec.p
 
     if spec.model in ("A", "A_F", "EXACT_PARETO"):
         u = rng.uniform(size=(n, p))
     else:
         base = sample_mv_cauchy(build_scale_matrix(spec.model, p), n, rng)
-        u = np.asarray(cauchy_cdf(base))
+        u = cauchy_cdf(base)
     u = np.clip(u, _U_EPS, 1.0 - _U_EPS)
+    if spec.model == "A":
+        u = 0.5 * (1.0 + u)  # |T| has its u-quantile where T has its (1+u)/2-quantile
     x = np.empty((n, p), order="F")
     for gamma in np.unique(col_gammas):
         cols = col_gammas == gamma
-        if spec.model == "A":
-            x[:, cols] = abs_student_t_quantile(u[:, cols], 1.0 / gamma)
-        elif spec.model in ("A_F", "B_F"):
+        if spec.model in ("A_F", "B_F"):
             x[:, cols] = frechet_quantile(u[:, cols], gamma)
         elif spec.model == "EXACT_PARETO":
             x[:, cols] = u[:, cols] ** (-gamma)

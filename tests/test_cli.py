@@ -153,6 +153,15 @@ class TestCluster:
         assert capsys.readouterr().err == "error: level must lie in (0, 1), got 1.5\n"
         assert calls == []
 
+    def test_nonpositive_threshold_names_column_label(self, tmp_path, capsys):
+        # beta has 10 positive values of 60, so its 31st largest is 0
+        rows = [f"{i},{i if i <= 10 else 0},{2 * i}" for i in range(1, 61)]
+        inp = write(tmp_path, "zeros.csv", "alpha,beta,gamma\n" + "\n".join(rows) + "\n")
+        assert main(["cluster", inp, "--auto-g", "--k", "2", "--k-star", "30"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: scaling denominator for column beta is 0.0;"
+        )
+
 
 def _params_from(payload):
     p = payload["params"]
@@ -370,6 +379,18 @@ class TestBench:
         cfg = write(tmp_path, "cfg.json", json.dumps(self.CONFIG))
         assert main(["bench", "--config", cfg, "--workers", "0", "--out", "b"]) == 3
         assert "workers" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_validation_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_replication", lambda *a: pytest.fail("ran"))
+        argv = ["bench", "--preset", "fig1", "--reps", "1", "--seed", "-1", "--out", "b"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: master_seed must be >= 0, got -1\n"
+        assert not (tmp_path / "b.json").exists()
+
+    def test_negative_master_seed_in_config_is_validation_exit(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", json.dumps(dict(self.CONFIG, master_seed=-1)))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 3
+        assert capsys.readouterr().err == "error: master_seed must be >= 0, got -1\n"
 
 
 class TestReturns:

@@ -35,9 +35,9 @@ class TestSelfScale:
         data = DataMatrix(values=values)
         with pytest.raises(NonpositiveThreshold) as exc:
             self_scale(data, k_star=2)
-        assert exc.value.column == 2
+        assert exc.value.column == "V2"
         assert exc.value.value == 0.0
-        assert "column 2" in str(exc.value)
+        assert "column V2" in str(exc.value)
 
     def test_equivariance_power_of_two_exact(self):
         # power-of-two scales are exact in binary floating point, so the

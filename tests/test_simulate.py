@@ -61,6 +61,8 @@ class TestSimModelSpec:
             SimModelSpec(model="A", g=2, q=2, delta=1.0, n=10, seed=1)
         with pytest.raises(ValidationError):
             SimModelSpec(model="A", g=2, q=2, delta=0.5, n=0, seed=1)
+        with pytest.raises(ValidationError, match="n must be >= 2, got 1"):
+            SimModelSpec(model="A", g=2, q=2, delta=0.5, n=1, seed=1)
         with pytest.raises(ValidationError):
             SimModelSpec(model="A", g=2, q=2, delta=0.5, n=10, seed=-1)
         with pytest.raises(ValidationError):
@@ -165,6 +167,47 @@ def test_generator_stream_pinned(model):
     spec = SimModelSpec(model=model, g=3, q=2, delta=0.3, n=5, seed=2024)
     data, _ = generate(spec)
     np.testing.assert_allclose(data.values[0], _STREAM_PINS[model], rtol=1e-12, atol=0)
+
+
+# As _STREAM_PINS at delta=0.5: the gammas 1, 0.5 and 0.25 take the v=1,
+# v=2 and Newton Student-t quantile paths.
+_STREAM_PINS_HALF = {
+    "A": [0.4526769016319899, 1.4664133425471872, 0.054791468105609975,
+          1.350909813791366, 1.050577985511812, 0.5980653479840895],
+    "B": [0.1870169659967918, 1.518474747609105, 0.8156237995665577,
+          0.5897335622526005, 0.17801458731371234, 0.33914285561753915],
+    "C": [0.1870169659967918, 1.518474747609105, 0.6684537536360865,
+          0.4049874145421972, 0.42757337101855875, 0.6704644365511923],
+    "D": [0.1870169659967918, 1.3314577816123137, 0.37530055180796595,
+          0.8005762746954497, 0.49664785081011065, 0.17332883455008405],
+    "A_F": [0.7650724511356485, 2.0847377595625605, 0.5545684513200704,
+            1.6440001956802006, 1.2313429936665456, 1.0347449213339905],
+    "B_F": [1.2219422495463352, 0.593335984298447, 0.8495674903331598,
+            1.649498431041001, 1.1515916563156587, 1.0053835851022068],
+    "EXACT_PARETO": [3.6953148249268963, 1.6155519099192717, 5.082341960619702,
+                     1.2032156448002442, 1.1148820783235354, 1.2436809106335818],
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_generator_stream_pinned_closed_forms(model):
+    """As test_generator_stream_pinned, on a design that reaches v=2."""
+    spec = SimModelSpec(model=model, g=3, q=2, delta=0.5, n=5, seed=2024)
+    data, _ = generate(spec)
+    np.testing.assert_allclose(data.values[0], _STREAM_PINS_HALF[model], rtol=1e-12, atol=0)
+
+
+def test_model_a_top_uniform_stays_finite(monkeypatch):
+    """A uniform at the clip's top, 1 - 1e-15, folds to (1+u)/2 < 1 and
+    gives a finite, positive value on the v=1, v=2 and Newton paths."""
+
+    class Ones:
+        def uniform(self, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(np.random, "Generator", lambda bit_generator: Ones())
+    data, _ = generate(SimModelSpec(model="A", g=4, q=1, delta=0.5, n=2, seed=0))
+    assert np.all(np.isfinite(data.values)) and np.all(data.values > 0.0)
 
 
 class TestGenerate:
