@@ -122,6 +122,8 @@ class SweepConfig:
             raise ValidationError(f"reps must be >= 1, got {self.reps}")
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not self.methods:
+            raise ValidationError("methods must not be empty")
         bad = [m for m in self.methods if m not in (*METHODS, _RAW_HILL)]
         if bad:
             raise ValidationError(f"unknown methods {bad}; choose from {(*METHODS, _RAW_HILL)}")

@@ -49,12 +49,6 @@ def _out_path(name: str) -> Path:
     return (Path(base) / path) if base else path
 
 
-def _load_matrix(path: str, prices: bool) -> DataMatrix:
-    if prices:
-        return returns(read_price_csv(path))
-    return read_data_csv(path)
-
-
 def _bands(gammas: np.ndarray, k: int, level: float) -> list[dict]:
     low, high = hill_bands(gammas, k, level)
     return [
@@ -90,7 +84,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_cluster(args) -> int:
     hill_bands(np.empty(0), 1, args.ci)  # a bad --ci fails here, before any work
-    data = _load_matrix(args.input, args.prices)
+    data = read_data_csv(args.input)
     n0 = min_positive_count(data)
     params, defaults_used = resolve_params(
         data.p, n0, k=args.k, k_star=args.k_star, beta=args.beta
@@ -136,7 +130,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_hill(args) -> int:
     hill_bands(np.empty(0), 1, args.ci)  # a bad --ci fails here, before any work
-    data = _load_matrix(args.input, args.prices)
+    data = read_data_csv(args.input)
     if args.k is not None:
         k = args.k
     else:
@@ -242,14 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("cluster", help="cluster the columns of a CSV by tail heaviness")
-    pc.add_argument("input", help="CSV file (data matrix, or price table with --prices)")
+    pc.add_argument("input", help="data matrix CSV (convert a price table with `returns` first)")
     mode = pc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--known-g", type=int, dest="known_g", metavar="G",
                       help="number of groups, known in advance")
     mode.add_argument("--auto-g", action="store_true",
                       help="discover the number of groups from the data")
-    pc.add_argument("--prices", action="store_true",
-                    help="input is a dated price table; cluster its loss returns")
     pc.add_argument("--k", type=int, help="pooled-quantile rank (default: formula)")
     pc.add_argument("--k-star", type=int, dest="k_star",
                     help="self-scaling rank (default: formula)")
@@ -263,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hill", help="per-column tail-index estimates with bands")
     ph.add_argument("input")
-    ph.add_argument("--prices", action="store_true",
-                    help="input is a dated price table; estimate on loss returns")
     ph.add_argument("--k", type=int, help="number of top order statistics (default: formula)")
     ph.add_argument("--ci", type=float, default=0.95, metavar="LEVEL")
     ph.add_argument("--format", choices=("json", "csv"), default="json")

@@ -142,13 +142,13 @@ def student_t_cdf(x, v: float):
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
     arr = np.asarray(x, dtype=float)
     xx = arr * arr
-    cdf = np.empty_like(arr)
+    cdf = np.full_like(arr, np.nan)
     center = xx <= v
     if np.any(center):
         w = xx[center] / (v + xx[center])
         body = reg_inc_beta(w, 0.5, 0.5 * v)
         cdf[center] = 0.5 + 0.5 * np.sign(arr[center]) * body
-    tail = ~center
+    tail = xx > v
     if np.any(tail):
         z = v / (v + xx[tail])
         tail2 = reg_inc_beta(z, 0.5 * v, 0.5)
@@ -220,7 +220,7 @@ def student_t_quantile(u, v: float):
     if v <= 0:
         raise ValidationError(f"degrees of freedom must be positive, got {v}")
     arr = np.asarray(u, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     if v == 1.0:
         return np.tan(math.pi * (arr - 0.5))
@@ -241,6 +241,6 @@ def frechet_quantile(u, gamma: float):
     if gamma <= 0:
         raise ValidationError(f"gamma must be positive, got {gamma}")
     arr = np.asarray(u, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("u must lie strictly inside (0, 1)")
     return (-np.log(arr)) ** (-gamma)

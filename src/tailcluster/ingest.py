@@ -144,14 +144,10 @@ def _lines(text: str):
 def _read_rows(text: str, source: str):
     """The header and an iterator over the body, checked as it is read.
 
-    The iterator yields (row, fields, fast) for each non-empty row; row
-    numbers count non-empty rows, the header being row 1. float() reads
-    "1_000" as 1000.0, which the dialect forbids, so fast turns False at
-    the first body line that holds a "_": from there on, rows must take
-    the per-token path, which rejects it.
+    The iterator yields (row, fields) for each non-empty row; row numbers
+    count non-empty rows, the header being row 1.
     """
-    reader = csv.reader(_lines(text))
-    rows = filter(None, reader)
+    rows = filter(None, csv.reader(_lines(text)))
     try:
         header = next(rows, None)
     except csv.Error as exc:
@@ -160,14 +156,6 @@ def _read_rows(text: str, source: str):
         raise ParseError(f"{source}: empty CSV document")
     if len(set(header)) != len(header):
         raise ParseError(f"{source}: header names must be distinct")
-    body_start = 0
-    for _ in range(reader.line_num):
-        body_start = text.find("\n", body_start) + 1 or len(text)
-    underscore = text.find("_", body_start)
-    slow_from = (
-        math.inf if underscore < 0
-        else reader.line_num + 1 + text.count("\n", body_start, underscore)
-    )
 
     def body():
         i = 1
@@ -177,7 +165,7 @@ def _read_rows(text: str, source: str):
                     raise ParseError(
                         f"{source}: row {i} has {len(row)} fields, header has {len(header)}"
                     )
-                yield i, row, reader.line_num < slow_from
+                yield i, row
         except csv.Error as exc:
             # raised while reading the row after row i
             raise ParseError(f"{source}: row {i + 1} is not valid CSV ({exc})") from None
@@ -186,8 +174,11 @@ def _read_rows(text: str, source: str):
 
 
 def _float_map(fields: list[str]) -> list[float] | None:
-    """fields parsed by one float map, or None when a field does not parse
-    or is not finite and the per-token path must decide."""
+    """fields parsed by one float map, or None when a field does not parse,
+    is not finite or holds a "_" (float() reads "1_000" as 1000.0, which the
+    dialect forbids), and the per-token path must decide."""
+    if "_" in "".join(fields):
+        return None
     try:
         cells = list(map(float, fields))
     except ValueError:
@@ -226,8 +217,8 @@ def read_data_csv(path) -> DataMatrix:
     """Read a fully numeric CSV (header row of column labels) as a DataMatrix."""
     header, body = _read_rows(read_text(path), str(path))
     cells = array("d")
-    for i, row, fast in body:
-        parsed = _float_map(row) if fast else None
+    for i, row in body:
+        parsed = _float_map(row)
         cells.extend(_data_cells(row, i, header, str(path)) if parsed is None else parsed)
     if not cells:
         raise ParseError(f"{path}: no data rows")
@@ -271,7 +262,7 @@ def read_price_csv(path) -> PriceTable:
         raise ParseError(f"{path}: need a date column plus at least one series")
     dates = []
     cells = array("d")
-    for i, row, fast in body:
+    for i, row in body:
         token = row[0].strip()
         if (day := _iso_date(token)) is None:
             raise ParseError(
@@ -279,7 +270,7 @@ def read_price_csv(path) -> PriceTable:
             )
         dates.append(day)
         # a missing token (NA, NaN, ...) fails the map or reads as NaN
-        parsed = _float_map(row[1:]) if fast else None
+        parsed = _float_map(row[1:])
         cells.extend(_price_cells(row, i, header, str(path)) if parsed is None else parsed)
     if not dates:
         raise ParseError(f"{path}: no data rows")

@@ -70,6 +70,8 @@ class TestSweepConfig:
             tiny_config(methods=("tail_kmeans", "tail_kmeans"))
         with pytest.raises(ValidationError):
             tiny_config(methods=("raw_hill", "raw_hill"))
+        with pytest.raises(ValidationError, match="^methods must not be empty$"):
+            tiny_config(methods=())
 
     def test_axes_coerced_to_tuples(self):
         cfg = tiny_config(g=[2, 3], delta=[0.5])

@@ -7,6 +7,9 @@ as a shell user would see them.
 
 import json
 import math
+import shlex
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,13 @@ from tailcluster import bench, cli
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
 from tailcluster.core import SCHEMA_VERSION, resolve_params
-from tailcluster.ingest import min_positive_count, read_data_csv, write_data_csv
+from tailcluster.ingest import (
+    min_positive_count,
+    read_data_csv,
+    read_price_csv,
+    returns,
+    write_data_csv,
+)
 
 HAND_CSV = (
     "heavy,light\n"
@@ -126,13 +135,36 @@ class TestCluster:
         assert calls == [6]
 
     def test_prices_path(self, tmp_path):
+        # a price table reaches cluster through returns
         inp = write(tmp_path, "prices.csv", PRICE_CSV)
+        assert main(["returns", inp, "--output", "ret.csv"]) == 0
         rc = main(
-            ["cluster", inp, "--prices", "--known-g", "1", "--k", "1",
+            ["cluster", "ret.csv", "--known-g", "1", "--k", "1",
              "--k-star", "1", "--beta", "0.5", "--output", "out.json"]
         )
         # only 2 return rows and k == k_star: validation must reject it
         assert rc == 3
+
+    def test_price_table_with_gaps_through_returns(self, tmp_path):
+        rng = np.random.default_rng(31)
+        prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(2.5, size=(400, 6)), axis=0))
+        gaps = rng.random(prices.shape) < 0.005
+        rows = [
+            f"{date(2020, 1, 1) + timedelta(days=i)},"
+            + ",".join(("NA" if j % 2 else "") if gap else repr(v)
+                       for j, (v, gap) in enumerate(zip(row, mask)))
+            for i, (row, mask) in enumerate(zip(prices.tolist(), gaps))
+        ]
+        inp = write(tmp_path, "p.csv", "date,a,b,c,d,e,f\n" + "\n".join(rows) + "\n")
+        assert main(["returns", inp, "--output", "ret.csv"]) == 0
+        assert main(["cluster", "ret.csv", "--auto-g", "--output", "out.json"]) == 0
+        payload = json.loads((tmp_path / "out.json").read_text())
+        data = returns(read_price_csv(inp))
+        assert data.n < len(rows) - 1  # listwise deletion dropped the gap rows
+        assert read_data_csv(tmp_path / "ret.csv").values.tobytes() == data.values.tobytes()
+        params, _ = resolve_params(data.p, min_positive_count(data))
+        part, _ = cluster_unknown_g(data, params)
+        assert payload["groups"] == [[data.label_of(j) for j in grp] for grp in part.groups]
 
     def test_single_column_hint(self, tmp_path, capsys):
         inp = write(tmp_path, "one.csv", "a\n" + "\n".join(str(v) for v in range(1, 9)) + "\n")
@@ -392,6 +424,13 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", "b"]) == 3
         assert capsys.readouterr().err == "error: master_seed must be >= 0, got -1\n"
 
+    def test_empty_method_list_is_validation_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "run_replication", lambda *a: pytest.fail("ran"))
+        cfg = write(tmp_path, "cfg.json", json.dumps(dict(self.CONFIG, methods=[])))
+        assert main(["bench", "--config", cfg, "--out", "b"]) == 3
+        assert capsys.readouterr().err == "error: methods must not be empty\n"
+        assert not (tmp_path / "b.json").exists() and not (tmp_path / "b.csv").exists()
+
 
 class TestReturns:
     def test_writes_loss_returns(self, tmp_path, capsys):
@@ -564,6 +603,21 @@ class TestSchemaVersion:
             assert main(argv) == 0, name
             doc = json.loads((tmp_path / name).read_text())
             assert doc["schema_version"] == SCHEMA_VERSION, name
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        # a flag removed from the parser must not linger in the docs
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("tailcluster ")]
+        assert len(lines) >= 6
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
 
 
 class TestVersion:

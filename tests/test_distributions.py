@@ -157,6 +157,13 @@ class TestStudentTCdf:
         with pytest.raises(ValidationError):
             student_t_cdf(0.0, 0.0)
 
+    def test_nan_gives_nan_as_scipy_does(self):
+        x = np.array([np.nan, -3.0, 1.0])
+        got = student_t_cdf(x, 3.0)
+        want = sps.t.cdf(x, 3.0)
+        assert np.isnan(got[0]) and np.isnan(want[0])
+        assert got[1:] == pytest.approx(want[1:], abs=1e-12)
+
 
 class TestStudentTQuantile:
     def test_median(self):
@@ -208,6 +215,10 @@ class TestStudentTQuantile:
             student_t_quantile(0.0, 2.0)
         with pytest.raises(ValidationError):
             student_t_quantile(1.0, 2.0)
+        # NaN fails the u check itself, not reg_inc_beta's check of x
+        for u, v in (([np.nan], 1.0), ([0.3, np.nan], 3.0)):
+            with pytest.raises(ValidationError, match=r"^u must lie strictly inside \(0, 1\)$"):
+                student_t_quantile(np.array(u), v)
 
 
 class TestCauchyCdf:
@@ -250,6 +261,8 @@ class TestFrechetQuantile:
             frechet_quantile(0.5, 0.0)
         with pytest.raises(ValidationError):
             frechet_quantile(1.0, 1.0)
+        with pytest.raises(ValidationError, match=r"^u must lie strictly inside \(0, 1\)$"):
+            frechet_quantile(np.array([np.nan]), 1.0)
 
 
 class TestAbsStudentTQuantile:

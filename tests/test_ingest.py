@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -325,6 +326,65 @@ class TestDataCsvWriter:
         back = read_data_csv(tmp / "new.csv")
         assert back.column_labels == data.column_labels
         assert back.values.tobytes() == data.values.tobytes()
+
+
+CELL_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([
+        "1_000", "_1", "2_5e1", "1e308", "-1e308", " 3 ", '"7"',  # underscores, padding, quotes
+        "x", "1e", "--1", "0x10",  # bad tokens
+        "", "NA", " NaN ", "ND", "null",  # missing tokens
+        "nan", "-nan", "inf", "-inf", "Infinity", "1e400",  # non-finite values
+    ]),
+)
+
+
+@st.composite
+def csv_bodies(draw):
+    p = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(CELL_TOKENS, min_size=p, max_size=p), min_size=1, max_size=6))
+    dates = [f"2020-01-{i:02d}" for i in range(1, len(rows) + 1)]
+    bad = draw(st.one_of(st.none(), st.integers(0, len(rows) - 1)))
+    if bad is not None:
+        dates[bad] = dates[bad].replace("-", "_")
+    return p, rows, dates
+
+
+def _outcome(reader, path):
+    try:
+        got = reader(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    values = got.values if isinstance(got, DataMatrix) else got.prices
+    return values.shape, values.tobytes()
+
+
+class TestReadersMatchPerTokenPath:
+    @settings(max_examples=300, deadline=None)
+    @example(body=(2, [["1", "2"], ["3", "4"], ["5", "1_000"], ["x", "7"]], [
+        "2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"]))
+    @example(body=(2, [["1e308", "1e308"], ["NA", "2"], ["3", ""]], [
+        "2020-01-01", "2020-01-02", "2020-01-03"]))
+    @given(body=csv_bodies())
+    def test_float_map_changes_no_result(self, tmp_path_factory, body):
+        # the reference reader sends every row through _data_cells or
+        # _price_cells; both readers must give the same array bit for bit
+        # (NaN positions included) or the same first error
+        p, rows, dates = body
+        names = [f"c{j}" for j in range(p)]
+        tmp = tmp_path_factory.getbasetemp()
+        data_path, price_path = tmp / "body.csv", tmp / "prices.csv"
+        data_path.write_text(
+            "\n".join([",".join(names), *(",".join(r) for r in rows)]) + "\n", encoding="utf-8"
+        )
+        price_path.write_text(
+            "\n".join([",".join(["date", *names]),
+                       *(",".join([d, *r]) for d, r in zip(dates, rows))]) + "\n",
+            encoding="utf-8",
+        )
+        with mock.patch.object(ingest, "_float_map", lambda fields: None):
+            want = [_outcome(read_data_csv, data_path), _outcome(read_price_csv, price_path)]
+        assert [_outcome(read_data_csv, data_path), _outcome(read_price_csv, price_path)] == want
 
 
 class TestCsvDialect:
