@@ -6,12 +6,12 @@ each replication draws a dataset, runs the selected methods, and scores
 order-aware accuracy plus the MSE of group-aggregated tail-index
 estimates. Failed replications are first-class data: the error is
 recorded, the failure is counted, and means are taken over successes.
-A replication peels its dataset once: the known-g partition is read off
-the unknown-g trace, so the peel's time is charged to whichever
-proposed method runs first (its MethodCell.wall_time), not to both.
-Likewise it runs one per-column Hill pass: the baseline's k-means, every
-method's group aggregation and raw_hill read the same vector, and the
-pass's time is charged to the first method that reads it.
+A replication peels its dataset once and runs one per-column Hill pass:
+the data matrix memoises the peel's trace and the Hill vector, so the
+known-g partition is read off the unknown-g trace, and the baseline's
+k-means, every method's group aggregation and raw_hill read the same
+vector. Each pass's time is charged to the first method that needs it
+(its MethodCell.wall_time), not to every method.
 
 Seeding: the data seed of a replication is derived from the master seed
 plus the data-generating design (model, g, q, delta, n) and the rep
@@ -40,7 +40,6 @@ are derived from them (MethodCell properties, CSV columns).
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import os
@@ -54,20 +53,19 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .cluster import cluster_unknown_g, known_g_from
+from .cluster import cluster_known_g, cluster_unknown_g
 from .core import (
     SCHEMA_VERSION,
     ClusterParams,
     ParseError,
     TailClusterError,
-    TailPartition,
     ValidationError,
     accuracy,
     from_jsonable,
     mse,
     resolve_params,
 )
-from .hill import group_means, hill_gammas, kmeans_1d_exact
+from .hill import group_means, hill_gammas, tail_kmeans
 from .simulate import MODELS, SimModelSpec, generate
 
 __all__ = [
@@ -171,25 +169,22 @@ def run_replication(
     """
     data, truth = generate(spec)
     true_cols = truth.column_gammas()
-    # one peel for both proposed methods and one Hill pass for every
-    # consumer; a failure is not cached, so each method records it
-    peel = functools.cache(lambda: cluster_unknown_g(data, params.with_known_g(None)))
-    gammas = functools.cache(lambda: hill_gammas(data, params.k))
     out: dict[str, MethodResult] = {}
     for method in methods:
         t0 = time.perf_counter()
         try:
             if method == "proposed_known_g":
-                part, _ = known_g_from(peel()[1], truth.g)
+                part, _ = cluster_known_g(data, params.with_known_g(truth.g))
             elif method == "proposed_unknown_g":
-                part, _ = peel()
+                part, _ = cluster_unknown_g(data, params)
             elif method == "tail_kmeans":
-                part = TailPartition(tuple(kmeans_1d_exact(gammas(), truth.g)))
+                part = tail_kmeans(data, truth.g, params.k)
             elif method == _RAW_HILL:
                 part = None
             else:
                 raise ValidationError(f"unknown method {method!r}")
-            per_col = gammas() if part is None else group_means(gammas(), part)[1]
+            gammas = hill_gammas(data, params.k)
+            per_col = gammas if part is None else group_means(gammas, part)[1]
             out[method] = MethodResult(
                 accuracy=None if part is None else accuracy(truth, part),
                 mse=mse(true_cols, per_col),

@@ -4,8 +4,8 @@ One peeling loop repeatedly removes the heaviest-tailed group of
 columns: scale each column by its own upper order statistic, pool the
 scaled values of the still-active columns, compute a pooled threshold,
 and keep the columns whose high quantile clears it, until no columns
-remain. A known-g result is read off that trace: the first g - 1
-extracted groups, then every remaining column as group g.
+remain. The matrix memoises that trace; a known-g result is read off
+it: the first g - 1 extracted groups, then the rest as group g.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "IterationTrace",
     "cluster_known_g",
     "cluster_unknown_g",
-    "known_g_from",
 ]
 
 
@@ -64,6 +63,10 @@ class IterationTrace:
 
 def _run(data: DataMatrix, params: ClusterParams) -> IterationTrace:
     params.validate_for(data.n, data.p)
+    return data._memoised(("trace", params.k, params.k_star, params.beta), lambda: _peel(data, params))
+
+
+def _peel(data: DataMatrix, params: ClusterParams) -> IterationTrace:
     scaled = self_scale(data, params.k_star)
     # each column's (floor(beta*k)+1)-th largest scaled value
     stat_row = scaled[math.floor(params.beta * params.k)]
@@ -93,28 +96,12 @@ def _run(data: DataMatrix, params: ClusterParams) -> IterationTrace:
     return IterationTrace(steps=tuple(steps))
 
 
-def known_g_from(trace: IterationTrace, g: int) -> tuple[TailPartition, IterationTrace]:
-    """Read the known-g result off a full unknown-g trace.
-
-    The partition is the groups extracted by the first g - 1 steps plus
-    every column still active at step g; the trace is those g - 1 steps.
-
-    Raises:
-        ActiveSetExhausted: the trace has fewer than g steps.
-    """
-    if len(trace) < g:
-        raise ActiveSetExhausted(len(trace) + 1)
-    steps = trace.steps[: g - 1]
-    groups = [step.extracted for step in steps] + [trace.steps[g - 1].active]
-    return TailPartition(groups=tuple(groups)), IterationTrace(steps=steps)
-
-
 def cluster_known_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartition, IterationTrace]:
     """Cluster into a caller-specified number of groups.
 
-    Peels until no columns remain, as cluster_unknown_g does, and reads
-    the result off that trace with known_g_from: the first known_g - 1
-    extracted groups, then all remaining columns as the final group.
+    Reads the result off the memoised peel that cluster_unknown_g also
+    returns: its first known_g - 1 steps (shared: do not mutate them) and
+    their groups, then all remaining columns as the final group.
 
     Raises:
         ActiveSetExhausted: a peeling step consumed all columns before
@@ -123,7 +110,12 @@ def cluster_known_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartit
     """
     if params.known_g is None:
         raise ValidationError("params.known_g must be set for cluster_known_g")
-    return known_g_from(_run(data, params), params.known_g)
+    trace, g = _run(data, params), params.known_g
+    if len(trace) < g:
+        raise ActiveSetExhausted(len(trace) + 1)
+    steps = trace.steps[: g - 1]
+    groups = [step.extracted for step in steps] + [trace.steps[g - 1].active]
+    return TailPartition(groups=tuple(groups)), IterationTrace(steps=steps)
 
 
 def cluster_unknown_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartition, IterationTrace]:
@@ -131,6 +123,7 @@ def cluster_unknown_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPart
 
     Peels groups until no columns remain. Termination within p
     iterations is guaranteed because each extracted group is non-empty.
+    The trace is the matrix's memoised one, shared with later calls: do not mutate it.
     """
     if params.known_g is not None:
         raise ValidationError("params.known_g must be unset for cluster_unknown_g")

@@ -63,9 +63,12 @@ class DimensionMismatchError(ValidationError):
     """Two inputs that must describe the same number of columns do not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """An n x p observation matrix: rows are i.i.d. samples, columns are variables.
+
+    It memoises its peel trace per (k, k_star, beta) and read-only Hill vector
+    per k, shared by later calls (do not mutate them); `==` is identity.
 
     Attributes:
         values: read-only float array of shape (n, p); every entry finite.
@@ -102,6 +105,13 @@ class DataMatrix:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_memo", {})
+
+    def _memoised(self, key, compute):
+        """compute()'s result for key, computed once per matrix; a raise is not stored."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -209,7 +219,7 @@ class ClusterParams:
         return ClusterParams(self.k, self.k_star, self.beta, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """True group labels and group tail indices for a simulated design.
 

@@ -123,6 +123,7 @@ def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
 
     gamma_hat = (1/k) * sum_{i=0}^{k-1} [log X_{(i+1)-th largest}
     - log X_{(k+1)-th largest}], clipped below at 0, for 1 <= k <= n-1.
+    The vector is read-only and shared by later calls on the same matrix.
 
     Raises:
         NonpositiveOrderStat: some column's (k+1)-th largest value is
@@ -130,9 +131,10 @@ def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
     """
     if not 1 <= k <= data.n - 1:
         raise ValidationError(f"k={k} out of range [1, {data.n - 1}]")
-    return np.array(
-        [_gamma(data.values[:, j], k, data.label_of(j + 1)) for j in range(data.p)], dtype=float
-    )
+    gammas = data._memoised(("hill", k), lambda: np.array(
+        [_gamma(data.values[:, j], k, data.label_of(j + 1)) for j in range(data.p)]))
+    gammas.setflags(write=False)  # shared by later calls on the same matrix
+    return gammas
 
 
 def hill_bands(gammas: np.ndarray, k: int, level: float) -> tuple[np.ndarray, np.ndarray]:

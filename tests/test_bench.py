@@ -9,6 +9,7 @@ import pytest
 
 from tailcluster import bench, cli
 from tailcluster import cluster as cluster_module
+from tailcluster import hill as hill_module
 from tailcluster.bench import (
     DEFAULT_MASTER_SEED,
     METHODS,
@@ -122,14 +123,15 @@ class TestRunReplication:
 
     @pytest.fixture
     def hill_calls(self, monkeypatch):
+        # one entry per column estimate: a Hill pass is p of them
         calls = []
-        real = bench.hill_gammas
+        real = hill_module._gamma
 
-        def counting(data, k):
+        def counting(arr, k, column=None):
             calls.append(k)
-            return real(data, k)
+            return real(arr, k, column)
 
-        monkeypatch.setattr(bench, "hill_gammas", counting)
+        monkeypatch.setattr(hill_module, "_gamma", counting)
         return calls
 
     @pytest.mark.parametrize("with_raw_hill", [False, True])
@@ -138,7 +140,7 @@ class TestRunReplication:
         params = resolve_params(spec.p, spec.n)[0]
         methods = (*METHODS, "raw_hill") if with_raw_hill else METHODS
         out = run_replication(spec, params, methods)
-        assert hill_calls == [params.k]
+        assert hill_calls == [params.k] * spec.p
         assert list(out) == list(methods)
         assert all(r.error is None for r in out.values())
 

@@ -16,6 +16,7 @@ import pytest
 
 from tailcluster import cluster_unknown_g, ClusterParams, generate, SimModelSpec
 from tailcluster import bench, cli
+from tailcluster import hill as hill_module
 from tailcluster.bench import CSV_COLUMNS, parse_report
 from tailcluster.cli import main
 from tailcluster.core import SCHEMA_VERSION, resolve_params
@@ -120,19 +121,20 @@ class TestCluster:
 
     @pytest.mark.parametrize("mode", [["--auto-g"], ["--known-g", "2"]])
     def test_one_hill_pass(self, tmp_path, monkeypatch, mode):
+        # one call per column estimate: a Hill pass is p of them
         calls = []
-        real = cli.hill_gammas
+        real = hill_module._gamma
 
-        def counting(data, k):
+        def counting(arr, k, column=None):
             calls.append(k)
-            return real(data, k)
+            return real(arr, k, column)
 
-        monkeypatch.setattr(cli, "hill_gammas", counting)
+        monkeypatch.setattr(hill_module, "_gamma", counting)
         data, _ = generate(SimModelSpec(model="A", g=2, q=3, delta=0.5, n=300, seed=2))
         inp = tmp_path / "d.csv"
         write_data_csv(data, inp)
         assert main(["cluster", str(inp), *mode, "--k-hill", "6", "-o", "out.json"]) == 0
-        assert calls == [6]
+        assert calls == [6] * data.p
 
     def test_prices_path(self, tmp_path):
         # a price table reaches cluster through returns

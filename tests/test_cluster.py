@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailcluster import cluster as cluster_module
+from tailcluster import hill as hill_module
 from tailcluster.cluster import (
     ActiveSetExhausted,
     IterationTrace,
     cluster_known_g,
     cluster_unknown_g,
-    known_g_from,
 )
 from tailcluster.core import (
     ClusterParams,
@@ -22,7 +23,8 @@ from tailcluster.core import (
     ValidationError,
     resolve_params,
 )
-from tailcluster.hill import hill_gammas
+from tailcluster.hill import estimate_group_indices, hill_gammas, tail_kmeans
+from tailcluster.order_stats import NonpositiveThreshold
 from tailcluster.simulate import MODELS, SimModelSpec, generate
 
 # ---------------------------------------------------------------------------
@@ -355,13 +357,13 @@ class TestTrace:
         k = data.draw(st.integers(2, n // 4))
         k_star = data.draw(st.integers(k + 1, n - 1))
         beta = data.draw(st.floats(0.5, 0.99))
-        _, trace = cluster_unknown_g(
-            DataMatrix(values=values), ClusterParams(k=k, k_star=k_star, beta=beta)
-        )
+        matrix = DataMatrix(values=values)
+        params = ClusterParams(k=k, k_star=k_star, beta=beta)
+        _, trace = cluster_unknown_g(matrix, params)
         assert_peel_invariants(trace.steps, p)
         assert sorted(j for step in trace.steps for j in step.extracted) == list(range(1, p + 1))
         for g in range(1, len(trace) + 1):
-            part, prefix = known_g_from(trace, g)
+            part, prefix = cluster_known_g(matrix, params.with_known_g(g))
             assert prefix.steps == trace.steps[: g - 1]
             assert_peel_invariants(prefix.steps, p)
             assert part.groups[-1] == trace.steps[g - 1].active
@@ -369,6 +371,84 @@ class TestTrace:
 
     def test_len(self):
         assert len(IterationTrace(steps=())) == 0
+
+
+def trace_bits(trace):
+    # float.hex tells -0.0 from 0.0: equal bits, not just equal values
+    return [
+        (s.active, s.threshold.hex(), {j: v.hex() for j, v in s.column_stats.items()}, s.extracted)
+        for s in trace.steps
+    ]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of self_scale calls (peels) and of per-column Hill estimates."""
+    counts = {"peel": 0, "hill_columns": 0}
+    real_scale, real_gamma = cluster_module.self_scale, hill_module._gamma
+
+    def scale(*args):
+        counts["peel"] += 1
+        return real_scale(*args)
+
+    def gamma(*args):
+        counts["hill_columns"] += 1
+        return real_gamma(*args)
+
+    monkeypatch.setattr(cluster_module, "self_scale", scale)
+    monkeypatch.setattr(hill_module, "_gamma", gamma)
+    return counts
+
+
+def fig1_method_set(matrix, params, g):
+    """Both proposed methods and the baseline, each with its group estimates,
+    every call on the DataMatrix that matrix() returns."""
+    known, known_trace = cluster_known_g(matrix(), params.with_known_g(g))
+    unknown, unknown_trace = cluster_unknown_g(matrix(), params)
+    kmeans = tail_kmeans(matrix(), g, params.k)
+    means = [
+        tuple(a.tobytes() for a in estimate_group_indices(matrix(), part, params.k))
+        for part in (known, unknown, kmeans)
+    ]
+    return known, trace_bits(known_trace), unknown, trace_bits(unknown_trace), kmeans, means
+
+
+class TestMemo:
+    """A DataMatrix peels once per (k, k_star, beta) and runs one Hill pass per k."""
+
+    def test_method_set_runs_one_peel_and_one_hill_pass(self, passes):
+        data, truth = generate(SimModelSpec(model="A_F", g=3, q=4, delta=0.5, n=500, seed=8))
+        params = resolve_params(data.p, data.n)[0]
+        shared = fig1_method_set(lambda: data, params, truth.g)
+        assert passes == {"peel": 1, "hill_columns": data.p}
+        separate = fig1_method_set(lambda: DataMatrix(values=data.values), params, truth.g)
+        assert passes == {"peel": 3, "hill_columns": 5 * data.p}
+        assert shared == separate
+
+    def test_no_sharing_across_objects(self, passes):
+        data = pareto_data(11, [1.0, 0.5, 0.25], n=200)
+        params = ClusterParams(k=4, k_star=40, beta=0.6)
+        for matrix in (data, DataMatrix(values=data.values)):
+            cluster_unknown_g(matrix, params)
+            hill_gammas(matrix, params.k)
+        assert passes == {"peel": 2, "hill_columns": 2 * data.p}
+
+    def test_known_g_above_p_rejected_after_a_memoised_peel(self):
+        data = pareto_data(12, [1.0, 0.5, 0.25], n=200)
+        params = ClusterParams(k=4, k_star=40, beta=0.6)
+        cluster_unknown_g(data, params)
+        with pytest.raises(ValidationError, match="known_g=4 exceeds p=3"):
+            cluster_known_g(data, params.with_known_g(4))
+
+    def test_failed_peel_not_memoised(self, passes):
+        values = pareto_data(13, [1.0, 0.5], n=60).values.copy()
+        values[:50, 1] = 0.0  # column 2's scaling denominator is 0
+        data = DataMatrix(values=values)
+        params = ClusterParams(k=2, k_star=20, beta=0.6)
+        for _ in range(2):
+            with pytest.raises(NonpositiveThreshold, match="column V2"):
+                cluster_unknown_g(data, params)
+        assert passes["peel"] == 2
 
 
 class TestMemoryLayout:
@@ -399,3 +479,20 @@ class TestMemoryLayout:
         finally:
             tracemalloc.stop()
         assert peak < 3 * data.values.nbytes
+
+    def test_memo_holds_no_scaled_block(self):
+        # the memo keeps the small trace and Hill vector, not the n x p peel block
+        data, truth = generate(
+            SimModelSpec(model="EXACT_PARETO", g=4, q=500, delta=0.5, n=400, seed=3)
+        )
+        params = resolve_params(data.p, data.n)[0]
+        tracemalloc.start()
+        try:
+            known, _ = cluster_known_g(data, params.with_known_g(truth.g))
+            cluster_unknown_g(data, params)
+            tail_kmeans(data, truth.g, params.k)
+            estimate_group_indices(data, known, params.k)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 0.25 * data.values.nbytes

@@ -100,6 +100,14 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 7.0
 
+    def test_equality_is_identity(self):
+        # comparing the values arrays would raise: the truth value is ambiguous
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = DataMatrix(values=values)
+        assert m == m
+        assert (m == DataMatrix(values=values)) is False
+        assert len({m, DataMatrix(values=values)}) == 2
+
 
 
 class TestTailPartition:
@@ -163,6 +171,11 @@ class TestGroundTruth:
         gammas[0] = 9.0
         assert t.group_of.tolist() == [1, 1, 2]
         assert t.gammas.tolist() == [1.0, 0.5]
+
+    def test_equality_is_identity(self):
+        t = GroundTruth(group_of=[1, 1, 2], gammas=[1.0, 0.5])
+        assert t == t
+        assert (t == GroundTruth(group_of=[1, 1, 2], gammas=[1.0, 0.5])) is False
 
     def test_invariants(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tailcluster import hill as hill_module
 from tailcluster.core import DataMatrix, DimensionMismatchError, TailPartition, ValidationError
 from tailcluster.hill import (
     NonpositiveOrderStat,
@@ -439,6 +440,37 @@ class TestHillGammas:
         data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))
         with pytest.raises(ValidationError, match=rf"k={k} out of range \[1, 39\]"):
             hill_gammas(data, k)
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_k_checked_after_a_memoised_pass(self, k):
+        data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))
+        hill_gammas(data, 5)
+        with pytest.raises(ValidationError, match=rf"k={k} out of range \[1, 39\]"):
+            hill_gammas(data, k)
+
+    def test_shared_vector_is_read_only(self):
+        data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))
+        gammas = hill_gammas(data, 5)
+        assert gammas.flags.writeable is False
+        assert hill_gammas(data, 5) is gammas
+        with pytest.raises(ValueError, match="read-only"):
+            gammas[0] = 1.0
+
+    def test_failed_pass_not_memoised(self, monkeypatch):
+        calls = []
+        real = hill_module._gamma
+
+        def counting(arr, k, column=None):
+            calls.append(column)
+            return real(arr, k, column)
+
+        monkeypatch.setattr(hill_module, "_gamma", counting)
+        col = pareto_quantile_column(40, 0.5)
+        data = DataMatrix(values=np.column_stack([col, col - col[5]]))
+        for _ in range(2):
+            with pytest.raises(NonpositiveOrderStat, match="in column V2"):
+                hill_gammas(data, 34)
+        assert calls == ["V1", "V2"] * 2
 
 
 class TestTailKmeans:
