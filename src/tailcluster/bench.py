@@ -6,12 +6,12 @@ each replication draws a dataset, runs the selected methods, and scores
 order-aware accuracy plus the MSE of group-aggregated tail-index
 estimates. Failed replications are first-class data: the error is
 recorded, the failure is counted, and means are taken over successes.
-A replication peels its dataset once and runs one per-column Hill pass:
-the data matrix memoises the peel's trace and the Hill vector, so the
-known-g partition is read off the unknown-g trace, and the baseline's
-k-means, every method's group aggregation and raw_hill read the same
-vector. Each pass's time is charged to the first method that needs it
-(its MethodCell.wall_time), not to every method.
+One table maps each method name to its partition. A replication peels
+its dataset once and runs one Hill pass: the data matrix memoises the
+peel's trace and the Hill vector, so the known-g partition is read off
+the unknown-g trace, and the baseline's k-means, every method's group
+aggregation and raw_hill read the same vector. Each pass's time is
+charged to the first method that needs it (its MethodCell.wall_time).
 
 Seeding: the data seed of a replication is derived from the master seed
 plus the data-generating design (model, g, q, delta, n) and the rep
@@ -83,9 +83,15 @@ __all__ = [
     "PRESETS",
 ]
 
-METHODS = ("proposed_known_g", "proposed_unknown_g", "tail_kmeans")
-# the per-column Hill estimates themselves, ungrouped: a reference, not a clustering
-_RAW_HILL = "raw_hill"
+# a method's partition of (data, truth, params); raw_hill, last, scores the Hill vector itself
+_PARTITION = {
+    "proposed_known_g": lambda data, truth, params:
+        cluster_known_g(data, params.with_known_g(truth.g))[0],
+    "proposed_unknown_g": lambda data, truth, params: cluster_unknown_g(data, params)[0],
+    "tail_kmeans": lambda data, truth, params: tail_kmeans(data, truth.g, params.k),
+    "raw_hill": lambda data, truth, params: None,
+}
+METHODS = tuple(_PARTITION)[:-1]  # the clusterings
 
 DEFAULT_MASTER_SEED = 314159
 
@@ -122,9 +128,9 @@ class SweepConfig:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise ValidationError("methods must not be empty")
-        bad = [m for m in self.methods if m not in (*METHODS, _RAW_HILL)]
+        bad = [m for m in self.methods if m not in _PARTITION]
         if bad:
-            raise ValidationError(f"unknown methods {bad}; choose from {(*METHODS, _RAW_HILL)}")
+            raise ValidationError(f"unknown methods {bad}; choose from {tuple(_PARTITION)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError("methods must not repeat")
         for name in ("g", "q", "delta", "k", "k_star", "beta"):
@@ -173,16 +179,9 @@ def run_replication(
     for method in methods:
         t0 = time.perf_counter()
         try:
-            if method == "proposed_known_g":
-                part, _ = cluster_known_g(data, params.with_known_g(truth.g))
-            elif method == "proposed_unknown_g":
-                part, _ = cluster_unknown_g(data, params)
-            elif method == "tail_kmeans":
-                part = tail_kmeans(data, truth.g, params.k)
-            elif method == _RAW_HILL:
-                part = None
-            else:
+            if method not in _PARTITION:
                 raise ValidationError(f"unknown method {method!r}")
+            part = _PARTITION[method](data, truth, params)
             gammas = hill_gammas(data, params.k)
             per_col = gammas if part is None else group_means(gammas, part)[1]
             out[method] = MethodResult(
@@ -425,5 +424,5 @@ PRESETS: dict[str, tuple[SweepConfig, ...]] = {
         replace(_Q15, beta=(0.55, 0.65, 0.75, 0.85, 0.95)),
         replace(_Q15, k_star=(600, 1000, 1400, 1717, 1950)),
     ),
-    "fig5": (replace(_FIG1, methods=(*METHODS, _RAW_HILL)),),
+    "fig5": (replace(_FIG1, methods=tuple(_PARTITION)),),
 }

@@ -11,7 +11,9 @@ it: the first g - 1 extracted groups, then the rest as group g.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import ClusterParams, DataMatrix, TailClusterError, TailPartition, ValidationError
 from .order_stats import self_scale
@@ -47,7 +49,7 @@ class TraceStep:
 
     active: tuple[int, ...]
     threshold: float
-    column_stats: dict[int, float]
+    column_stats: Mapping[int, float]  # read-only: the trace is shared through the memo
     extracted: tuple[int, ...]
 
 
@@ -83,7 +85,7 @@ def _peel(data: DataMatrix, params: ClusterParams) -> IterationTrace:
         pool.partition(pool.size - rank)
         u = float(pool[pool.size - rank])
         del pool  # free this step's copy before the next step builds its own
-        stats = {j: float(stat_row[j - 1]) for j in active}
+        stats = MappingProxyType({j: float(stat_row[j - 1]) for j in active})
         # >= keeps ties: a column exactly at the cutoff joins the heavier
         # group. For beta < 1 the group is never empty: some column owns
         # at least k of the top k*|active| pooled values, and its
@@ -100,7 +102,7 @@ def cluster_known_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPartit
     """Cluster into a caller-specified number of groups.
 
     Reads the result off the memoised peel that cluster_unknown_g also
-    returns: its first known_g - 1 steps (shared: do not mutate them) and
+    returns: its first known_g - 1 steps (read-only and shared) and
     their groups, then all remaining columns as the final group.
 
     Raises:
@@ -123,7 +125,7 @@ def cluster_unknown_g(data: DataMatrix, params: ClusterParams) -> tuple[TailPart
 
     Peels groups until no columns remain. Termination within p
     iterations is guaranteed because each extracted group is non-empty.
-    The trace is the matrix's memoised one, shared with later calls: do not mutate it.
+    The trace is the matrix's memoised one, read-only and shared with later calls.
     """
     if params.known_g is not None:
         raise ValidationError("params.known_g must be unset for cluster_unknown_g")

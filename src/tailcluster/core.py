@@ -67,8 +67,8 @@ class DimensionMismatchError(ValidationError):
 class DataMatrix:
     """An n x p observation matrix: rows are i.i.d. samples, columns are variables.
 
-    It memoises its peel trace per (k, k_star, beta) and read-only Hill vector
-    per k, shared by later calls (do not mutate them); `==` is identity.
+    It memoises its peel trace per (k, k_star, beta) and Hill vector per k,
+    both read-only and shared by later calls; `==` is identity.
 
     Attributes:
         values: read-only float array of shape (n, p); every entry finite.
@@ -181,10 +181,10 @@ class ClusterParams:
     """Tuning parameters of the threshold clustering procedure.
 
     Attributes:
-        k: size of the pooled-quantile intermediate sequence.
-        k_star: rank used for per-column self-scaling; must exceed k.
+        k: integer size of the pooled-quantile intermediate sequence.
+        k_star: integer rank used for per-column self-scaling; must exceed k.
         beta: per-column quantile fraction in (0, 1); floor(beta * k) >= 1.
-        known_g: number of groups when known in advance, else None.
+        known_g: integer number of groups when known in advance, else None.
     """
 
     k: int
@@ -193,6 +193,9 @@ class ClusterParams:
     known_g: int | None = None
 
     def __post_init__(self):
+        for name in ("k", "k_star", "known_g"):  # ranks slice and index arrays
+            if isinstance(getattr(self, name), (bool, float, np.floating)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValidationError(f"k must be a positive integer, got {self.k}")
         if not self.k < self.k_star:

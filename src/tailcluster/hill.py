@@ -129,6 +129,8 @@ def hill_gammas(data: DataMatrix, k: int) -> np.ndarray:
         NonpositiveOrderStat: some column's (k+1)-th largest value is
             <= 0; the error names the first such column by label.
     """
+    if isinstance(k, (bool, float, np.floating)):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= data.n - 1:
         raise ValidationError(f"k={k} out of range [1, {data.n - 1}]")
     gammas = data._memoised(("hill", k), lambda: np.array(

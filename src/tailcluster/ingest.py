@@ -122,13 +122,20 @@ def min_positive_count(data: DataMatrix) -> int:
     return int(np.min(np.sum(data.values > 0.0, axis=0)))
 
 
-def _parse_float(token: str, source: str, row: int, col_name: str) -> float:
-    if "_" not in token:
-        try:
-            return float(token)
-        except ValueError:
-            pass
-    raise ParseError(f"{source}: row {row}, column {col_name!r}: cannot parse {token!r} as a number")
+def _cell(token: str, source: str, row: int, name: str, kind: str) -> float:
+    """The cell rule: a stripped token without "_" that parses as a finite float,
+    else a ParseError that names the row, the column and the stripped token."""
+    token = token.strip()
+    try:
+        if "_" in token:
+            raise ValueError  # float() reads "1_000", which the dialect forbids
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"{source}: row {row}, column {name!r}: cannot parse {token!r} "
+                         "as a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{source}: row {row}, column {name!r}: non-finite {kind} {token!r}")
+    return value
 
 
 def _lines(text: str):
@@ -204,13 +211,7 @@ def read_text(path) -> str:
 
 
 def _data_cells(row: list[str], i: int, header: list[str], source: str) -> list[float]:
-    cells = []
-    for name, token in zip(header, row):
-        value = _parse_float(token.strip(), source, i, name)
-        if not math.isfinite(value):
-            raise ParseError(f"{source}: row {i}, column {name!r}: non-finite value {token!r}")
-        cells.append(value)
-    return cells
+    return [_cell(token, source, i, name, "value") for name, token in zip(header, row)]
 
 
 def read_data_csv(path) -> DataMatrix:
@@ -237,25 +238,16 @@ def write_data_csv(data: DataMatrix, path) -> None:
 
 
 def _price_cells(row: list[str], i: int, header: list[str], source: str) -> list[float]:
-    cells = []
-    for name, token in zip(header[1:], row[1:]):
-        token = token.strip()
-        if token.lower() in _MISSING_TOKENS:
-            cells.append(math.nan)
-            continue
-        value = _parse_float(token, source, i, name)
-        if not math.isfinite(value):
-            raise ParseError(f"{source}: row {i}, column {name!r}: non-finite price {token!r}")
-        cells.append(value)
-    return cells
+    return [math.nan if t.strip().lower() in _MISSING_TOKENS else _cell(t, source, i, name, "price")
+            for name, t in zip(header[1:], row[1:])]
 
 
 def read_price_csv(path) -> PriceTable:
     """Read a price table: first column dates, remaining columns prices.
 
-    Each date token must be written YYYY-MM-DD and is parsed once, here.
-    Missing prices may be written as empty fields or any of the tokens
-    NA, NaN, ND, null (case-insensitive).
+    Each date token must be written YYYY-MM-DD, after the previous row's date,
+    and is parsed once, here. Missing prices may be written as empty fields
+    or any of the tokens NA, NaN, ND, null (case-insensitive).
     """
     header, body = _read_rows(read_text(path), str(path))
     if len(header) < 2:
@@ -268,6 +260,9 @@ def read_price_csv(path) -> PriceTable:
             raise ParseError(
                 f"{path}: row {i}, column {header[0]!r}: cannot parse {token!r} as an ISO date"
             )
+        if dates and day <= dates[-1]:
+            raise ValidationError(f"{path}: row {i}, column {header[0]!r}: date {day} does not "
+                                  f"follow {dates[-1]}; dates must be strictly increasing")
         dates.append(day)
         # a missing token (NA, NaN, ...) fails the map or reads as NaN
         parsed = _float_map(row[1:])

@@ -58,10 +58,7 @@ class SimModelSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValidationError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.g < 1 or self.q < 1:
-            raise ValidationError(f"g and q must be positive, got g={self.g}, q={self.q}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
+        truth_from_design(self.g, self.q, self.delta)  # its g, q and delta checks
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if not 0 <= int(self.seed) < 2**64:

@@ -65,6 +65,8 @@ class TestSweepConfig:
             tiny_config(model="Z")
         with pytest.raises(ValidationError):
             tiny_config(reps=0)
+        with pytest.raises(ValidationError, match="^n must be >= 2, got 1$"):
+            tiny_config(n=1)
         with pytest.raises(ValidationError):
             tiny_config(methods=("proposed_unknown_g", "nope"))
         with pytest.raises(ValidationError):
@@ -160,6 +162,13 @@ class TestRunReplication:
         assert list(out) == ["raw_hill"]
         assert out["raw_hill"].mse is not None
         assert out["raw_hill"].accuracy is None
+
+    def test_unknown_method_recorded(self):
+        spec = SimModelSpec(model="EXACT_PARETO", g=2, q=2, delta=0.5, n=200, seed=5)
+        out = run_replication(spec, resolve_params(spec.p, spec.n)[0], methods=("x", "raw_hill"))
+        assert out["x"] == bench.MethodResult(None, None, "ValidationError: unknown method 'x'",
+                                              out["x"].seconds)
+        assert out["raw_hill"].error is None
 
 
 class TestRunSweep:
@@ -356,10 +365,17 @@ class TestReports:
         del blob["points"][0]["k"]
         with pytest.raises(ParseError, match=r"report\.points\[0\]\.k: missing"):
             parse_report(json.dumps(blob).encode())
+        # a (rep, error) pair of the wrong length
+        blob = json.loads(emit_report(report, "json"))
+        blob["points"][0]["cells"][0]["failures"] = [[1]]
+        with pytest.raises(ParseError, match=r"failures\[0\]: expected a list of 2, got \[1\]$"):
+            parse_report(json.dumps(blob).encode())
 
     def test_non_object_document(self):
         with pytest.raises(ParseError, match="report: expected an object"):
             parse_report(b"[1, 2]")
+        with pytest.raises(ParseError, match=r"^report: invalid JSON \("):
+            parse_report(b"{")
 
 
 class TestMergeReports:

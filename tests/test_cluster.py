@@ -440,6 +440,16 @@ class TestMemo:
         with pytest.raises(ValidationError, match="known_g=4 exceeds p=3"):
             cluster_known_g(data, params.with_known_g(4))
 
+    def test_shared_trace_is_read_only(self):
+        data = pareto_data(14, [1.0, 0.5, 0.25], n=200)
+        params = ClusterParams(k=4, k_star=40, beta=0.6)
+        part, trace = cluster_unknown_g(data, params)
+        bits = trace_bits(trace)
+        with pytest.raises(TypeError):
+            trace.steps[0].column_stats[1] = -1.0
+        again, trace_again = cluster_unknown_g(data, params)
+        assert again == part and trace_bits(trace_again) == bits
+
     def test_failed_peel_not_memoised(self, passes):
         values = pareto_data(13, [1.0, 0.5], n=60).values.copy()
         values[:50, 1] = 0.0  # column 2's scaling denominator is 0

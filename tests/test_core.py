@@ -147,6 +147,20 @@ class TestClusterParams:
         with pytest.raises(ValidationError):
             ClusterParams(k=2, k_star=4, beta=0.5, known_g=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", 2.0), ("k_star", 10.0), ("k_star", np.float64(10)),
+        ("known_g", 2.0), ("known_g", True),
+    ])
+    def test_ranks_must_be_integers(self, field, value):
+        # each of these constructed, and a float k failed later in a slice
+        with pytest.raises(ValidationError) as exc:
+            ClusterParams(**{"k": 2, "k_star": 10, "beta": 0.5, field: value})
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integer_ranks_accepted(self):
+        p = ClusterParams(k=np.int64(2), k_star=np.int64(10), beta=0.5, known_g=np.int64(2))
+        assert (p.k, p.k_star, p.known_g) == (2, 10, 2)
+
     def test_validate_for(self):
         p = ClusterParams(k=2, k_star=4, beta=0.5)
         p.validate_for(n=5, p=3)
@@ -186,6 +200,8 @@ class TestGroundTruth:
             GroundTruth(group_of=[1, 1], gammas=[1.0, 0.5])  # label 2 unused
         with pytest.raises(ValidationError):
             GroundTruth(group_of=[1, 3], gammas=[1.0, 0.5])
+        with pytest.raises(ValidationError, match="^group_of and gammas must be 1-D$"):
+            GroundTruth(group_of=[[1, 2]], gammas=[1.0, 0.5])
 
 
 class TestDefaultParams:

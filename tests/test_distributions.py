@@ -213,6 +213,9 @@ class TestStudentTQuantile:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValidationError):
             student_t_quantile(0.0, 2.0)
+        for v in (0.0, -1.0):
+            with pytest.raises(ValidationError, match="^degrees of freedom must be positive"):
+                student_t_quantile(0.5, v)
         with pytest.raises(ValidationError):
             student_t_quantile(1.0, 2.0)
         # NaN fails the u check itself, not reg_inc_beta's check of x

@@ -441,6 +441,15 @@ class TestHillGammas:
         with pytest.raises(ValidationError, match=rf"k={k} out of range \[1, 39\]"):
             hill_gammas(data, k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(3)])
+    def test_rejects_a_k_that_is_not_an_integer(self, k):
+        # a float k failed in np.partition; True ran as k=1
+        data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))
+        with pytest.raises(ValidationError) as exc:
+            hill_gammas(data, k)
+        assert str(exc.value) == f"k must be an integer, got {k!r}"
+        assert hill_gammas(data, np.int64(3)).tobytes() == hill_gammas(data, 3).tobytes()
+
     @pytest.mark.parametrize("k", [0, 40])
     def test_k_checked_after_a_memoised_pass(self, k):
         data = DataMatrix(values=np.column_stack([pareto_quantile_column(40, 0.5)] * 2))

@@ -213,6 +213,15 @@ class TestDataCsv:
             read_data_csv(path)
         assert str(exc.value) == f"{path}: row 3, column 'a': non-finite value 'inf'"
 
+    @pytest.mark.parametrize("token", [" inf", "nan "])
+    def test_non_finite_message_quotes_the_stripped_token(self, tmp_path, token):
+        # as the price reader's message and every "cannot parse" message do
+        path = tmp_path / "inf.csv"
+        path.write_text(f"a\n1\n{token}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_data_csv(path)
+        assert str(exc.value) == f"{path}: row 3, column 'a': non-finite value {token.strip()!r}"
+
     def test_structural_errors(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("", encoding="utf-8")
@@ -278,6 +287,24 @@ class TestPriceCsv:
             "date,aud\n2020-01-01,1.0\n2020-01-02,oops\n", encoding="utf-8"
         )
         with pytest.raises(ParseError, match=r"row 3, column 'aud'"):
+            read_price_csv(path)
+
+    def test_date_order_fault_reported_in_file_order(self, tmp_path):
+        # row 4 goes back in time and row 6 does not parse: row 4 is reported
+        path = tmp_path / "order.csv"
+        path.write_text(
+            "date,aud\n2020-01-01,1.0\n2020-01-03,1.1\n2020-01-02,1.2\n"
+            "2020-01-04,1.3\n2020-01-05,x\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as exc:
+            read_price_csv(path)
+        assert str(exc.value) == (
+            f"{path}: row 4, column 'date': date 2020-01-02 does not follow 2020-01-03; "
+            "dates must be strictly increasing"
+        )
+        path.write_text("date,aud\n2020-01-01,1.0\n2020-01-01,1.1\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"row 3, column 'date': date 2020-01-01 does not"):
             read_price_csv(path)
 
     @pytest.mark.parametrize("token", ["inf", "Infinity", "-inf", "-nan"])

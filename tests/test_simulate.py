@@ -101,6 +101,8 @@ class TestScaleMatrix:
     def test_independent_models_rejected(self):
         with pytest.raises(ValidationError):
             build_scale_matrix("A", 3)
+        with pytest.raises(ValidationError, match="^p must be positive, got 0$"):
+            build_scale_matrix("B", 0)
 
 
 class TestSampleMvCauchy:
